@@ -327,17 +327,33 @@ def _compute_flow(
                 graph = build_rr_graph(
                     arch.with_changes(routed_channel_tracks=width), layout
                 )
-                try:
-                    routing = route(packed, placement, graph)
+                with observe.span("flow.route.attempt", width=width) as span:
+                    try:
+                        routing = route(packed, placement, graph)
+                    except RoutingError as error:
+                        last_error = error
+                        span.set_attrs(
+                            ok=False,
+                            iterations=error.iterations,
+                            overused=error.overused,
+                            overuse_trend=error.overuse_trend,
+                        )
+                    else:
+                        span.set_attrs(
+                            ok=True,
+                            iterations=routing.iterations,
+                            overused=routing.overused_nodes,
+                        )
+                if routing is not None:
                     break
-                except RoutingError as error:
-                    last_error = error
-                    width = int(width * 1.5)
+                width = int(width * 1.5)
             route_span.set_attrs(attempts=attempts, tracks=width)
         if routing is None:
             raise RoutingError(
                 f"{netlist.name}: unroutable even at {width} tracks"
             ) from last_error
+        # Legality is cheap next to routing: check it on every fresh route.
+        routing.validate(packed, placement)
         with observe.span("flow.sta_build"):
             timing = TimingAnalyzer(packed, placement, routing, layout)
         compute_span.set_attrs(n_tiles=layout.n_tiles)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+import repro.cad.flow as flow_module
+from repro import observe
+from repro.arch.params import ArchParams
 from repro.cad.flow import run_flow
+from repro.cad.route import RoutingError
+from repro.observe.report import load_traces, render_report
 from repro.cad.timing import FF_CLK_TO_Q_S, FF_SETUP_S
 from repro.netlists.netlist import BlockType
 
@@ -82,3 +87,58 @@ class TestFlowDriver:
 
     def test_n_tiles_property(self, tiny_flow):
         assert tiny_flow.n_tiles == tiny_flow.layout.width * tiny_flow.layout.height
+
+
+class TestFlowRouteAttempts:
+    """One ``flow.route.attempt`` span per channel width tried.
+
+    At 16 tracks the tiny design fails PathFinder's early bail-out and
+    routes at the next width (24), so both outcomes are traced.
+    """
+
+    @pytest.fixture(scope="class")
+    def traced(self, tiny_netlist, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "flow.jsonl"
+        with observe.enabled(jsonl_path=str(path)):
+            flow = run_flow(
+                tiny_netlist, ArchParams(routed_channel_tracks=16), seed=11,
+                use_cache=False,
+            )
+        return flow, load_traces(str(path))
+
+    def test_attempt_spans_under_flow_route(self, traced):
+        flow, trace_file = traced
+        (trace,) = trace_file.traces
+        (route_span,) = [n for n in trace.spans if n.name == "flow.route"]
+        attempts = [n.record for n in route_span.children]
+        assert [a["name"] for a in attempts] == ["flow.route.attempt"] * 2
+        assert route_span.attrs["attempts"] == 2
+        failed, routed = (a["attrs"] for a in attempts)
+        assert failed["width"] == 16 and failed["ok"] is False
+        assert failed["iterations"] == len(failed["overuse_trend"]) >= 12
+        assert failed["overused"] == failed["overuse_trend"][-1] > 0
+        assert routed == {
+            "width": 24, "ok": True,
+            "iterations": flow.routing.iterations, "overused": 0,
+        }
+
+    def test_report_explains_the_failed_attempt(self, traced):
+        _flow, trace_file = traced
+        text = render_report(trace_file)
+        assert "flow.route.attempt" in text
+        assert "width=16 ok=False iterations=" in text
+        assert "width=24 ok=True" in text
+
+
+class TestFlowRouteLegality:
+    def test_flow_rejects_an_illegal_route(self, tiny_netlist, arch, monkeypatch):
+        real_route = flow_module.route
+
+        def route_dropping_a_net(*args, **kwargs):
+            routing = real_route(*args, **kwargs)
+            routing.routes.pop(next(iter(routing.routes)))
+            return routing
+
+        monkeypatch.setattr(flow_module, "route", route_dropping_a_net)
+        with pytest.raises(RoutingError, match=r"net \d+: no route"):
+            run_flow(tiny_netlist, arch, seed=11, use_cache=False)

@@ -1,4 +1,8 @@
-"""Tests for PathFinder internals: cost model, net ordering, route trees."""
+"""Tests for PathFinder internals: cost model, net ordering, route trees,
+failure diagnostics and the routing legality check."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -8,6 +12,8 @@ from repro.cad.pack import pack_netlist
 from repro.cad.place import place
 from repro.cad.route import (
     NetRoute,
+    RoutingError,
+    RoutingResult,
     _node_cost,
     _routable_nets,
     route,
@@ -100,3 +106,128 @@ class TestRouteTrees:
     def test_no_overuse_reported(self, routed):
         *_, result = routed
         assert result.overused_nodes == 0
+
+
+class TestFailureDiagnostics:
+    @pytest.fixture(scope="class")
+    def failure(self, routed, arch):
+        packed, placement, graph, _ = routed
+        starved = build_rr_graph(
+            arch.with_changes(routed_channel_tracks=8), graph.layout
+        )
+        with pytest.raises(RoutingError) as info:
+            route(packed, placement, starved, max_iterations=5)
+        return info.value
+
+    def test_carries_iterations_and_overuse_trend(self, failure):
+        assert failure.iterations == 5
+        assert len(failure.overuse_trend) == 5
+        assert all(count > 0 for count in failure.overuse_trend)
+        assert failure.overused == failure.overuse_trend[-1]
+        assert "after 5 iterations" in str(failure)
+        assert f"({failure.overused} overused nodes)" in str(failure)
+
+    def test_attributes_survive_pickling(self, failure):
+        # Sweep workers ship errors across process boundaries.
+        clone = pickle.loads(pickle.dumps(failure))
+        assert clone.iterations == failure.iterations
+        assert clone.overuse_trend == failure.overuse_trend
+
+    def test_zero_iterations_is_a_diagnosed_failure(self, routed):
+        packed, placement, graph, _ = routed
+        with pytest.raises(RoutingError, match="after 0 iterations") as info:
+            route(packed, placement, graph, max_iterations=0)
+        assert info.value.iterations == 0 and info.value.overused == 0
+
+
+def _tree_chain(net: NetRoute, sink: int) -> list:
+    """Node chain from the net's source to ``sink`` through its route tree."""
+    parent = {}
+    for path in net.sink_paths.values():
+        for u, v in zip(path, path[1:]):
+            parent.setdefault(v, u)
+    chain = [sink]
+    while chain[-1] != net.source_node:
+        chain.append(parent[chain[-1]])
+    return chain[::-1]
+
+
+class TestValidate:
+    """``RoutingResult.validate`` rejects corrupted routes, naming the net."""
+
+    @pytest.fixture()
+    def corrupt(self, routed):
+        packed, placement, graph, result = routed
+
+        def check(routes):
+            broken = RoutingResult(graph, routes, result.iterations, 0)
+            broken.validate(packed, placement)
+
+        return copy.deepcopy(result.routes), check
+
+    def test_router_output_is_legal(self, routed):
+        packed, placement, _graph, result = routed
+        result.validate(packed, placement)
+
+    def test_missing_net(self, corrupt):
+        routes, check = corrupt
+        net_id = next(iter(routes))
+        del routes[net_id]
+        with pytest.raises(RoutingError, match=f"net {net_id}: no route"):
+            check(routes)
+
+    def test_missing_sink(self, corrupt):
+        routes, check = corrupt
+        net = next(r for r in routes.values() if len(r.sink_paths) > 1)
+        sink = list(net.sink_paths)[-1]
+        del net.sink_paths[sink]
+        with pytest.raises(
+            RoutingError, match=rf"net {net.net_id}: sink node\(s\) \[{sink}\]"
+        ):
+            check(routes)
+
+    def test_severed_hop(self, corrupt, routed):
+        routes, check = corrupt
+        graph = routed[2]
+        for net in routes.values():
+            for path in net.sink_paths.values():
+                for i in range(1, len(path) - 1):
+                    successors = {e.dst for e in graph.out_edges[path[i - 1]]}
+                    if path[i + 1] not in successors:
+                        del path[i]
+                        with pytest.raises(
+                            RoutingError,
+                            match=f"net {net.net_id}: hop .* not an RR edge",
+                        ):
+                            check(routes)
+                        return
+        pytest.fail("no path hop could be severed")
+
+    def test_wrong_source(self, corrupt):
+        routes, check = corrupt
+        net = next(iter(routes.values()))
+        net.source_node += 1
+        with pytest.raises(RoutingError, match=f"net {net.net_id}: route starts"):
+            check(routes)
+
+    def test_over_capacity_node(self, corrupt):
+        routes, check = corrupt
+        # Two nets from the same source tile, one with a single sink the
+        # other also reaches: reroute the first along the other's tree.
+        # Every hop is a real edge, but the shared wires now carry 2 nets.
+        for net in routes.values():
+            for other in routes.values():
+                if (
+                    other is not net
+                    and other.source_node == net.source_node
+                    and len(net.sink_paths) == 1
+                    and set(net.sink_paths) <= set(other.sink_paths)
+                ):
+                    sink = next(iter(net.sink_paths))
+                    net.sink_paths[sink] = _tree_chain(other, sink)
+                    with pytest.raises(
+                        RoutingError, match=r"used by 2 nets, capacity 1"
+                    ):
+                        check(routes)
+                    return
+        pytest.fail("no pair of nets shares a source and a sink")

@@ -8,13 +8,17 @@ The contracts under test, straight from the service's design:
 - two clients submitting overlapping grids concurrently compute each
   overlapping cell exactly once (in-flight dedup);
 - a dead worker fails the job (bounded, observable) — it never hangs;
-- malformed submissions are 4xx wire diagnostics, not tracebacks.
+- malformed submissions are 4xx wire diagnostics, not tracebacks;
+- ``repro serve`` shuts down gracefully on SIGTERM as on SIGINT, leaving
+  no pool worker behind.
 """
 
 import asyncio
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -22,6 +26,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro import observe
 from repro.netlists.generator import NetlistSpec
 from repro.observe.clock import monotonic
@@ -521,3 +526,75 @@ class TestHttpServer:
         client = SweepClient(url="http://127.0.0.1:1", timeout=2.0)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.status("job-0001")
+
+
+def _process_tree(pid):
+    """``pid`` and its live (non-zombie) descendants, from ``/proc``."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # The command name may hold spaces; fields resume after ')'.
+        state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+        if state != "Z":
+            parents[int(entry)] = int(ppid)
+    tree, frontier = [], [pid]
+    while frontier:
+        parent = frontier.pop()
+        if parent in parents:
+            tree.append(parent)
+        frontier += [c for c, ppid in parents.items() if ppid == parent]
+    return tree
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads the process tree from /proc"
+)
+class TestServeSignals:
+    def test_sigterm_shuts_down_without_orphaning_workers(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(
+            os.environ,
+            REPRO_CACHE_DIR=str(tmp_path / "flows"),
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        log = open(tmp_path / "serve.err", "w+", encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--json",
+             "--store", str(tmp_path / "store"), "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=log, env=env, text=True,
+        )
+        tree = [proc.pid]
+        try:
+            line = proc.stdout.readline()
+            assert line, f"server did not start: {log.seek(0) or log.read()}"
+            SweepClient(url=json.loads(line)["url"]).submit(tiny_spec())
+            # Wait for the pool to fork: the defect orphans live workers.
+            deadline = time.monotonic() + 30.0
+            while len(_process_tree(proc.pid)) < 2:
+                assert time.monotonic() < deadline, "no pool worker started"
+                time.sleep(0.05)
+            tree = _process_tree(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=120) == 0
+            deadline = time.monotonic() + 10.0
+            survivors = [p for p in tree if _process_tree(p)]
+            while survivors and time.monotonic() < deadline:
+                time.sleep(0.05)
+                survivors = [p for p in tree if _process_tree(p)]
+            assert not survivors, f"processes outlived SIGTERM: {survivors}"
+        finally:
+            for pid in set(tree) | set(_process_tree(proc.pid)):
+                if _process_tree(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdout.close()
+            log.close()

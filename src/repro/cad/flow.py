@@ -309,11 +309,16 @@ def _compute_flow(
             n_dsp=counts[TileType.DSP],
             n_io=counts[TileType.IO],
         )
-        with observe.span("flow.place", thermal_weight=thermal_weight):
+        with observe.span(
+            "flow.place", thermal_weight=thermal_weight
+        ) as place_span:
             net_weights = criticality_weights(netlist) if timing_driven else None
             placement = place(
                 packed, layout, seed=seed, effort=placement_effort,
                 net_weights=net_weights, thermal_weight=thermal_weight,
+            )
+            place_span.set_attrs(
+                levels=placement.anneal_levels, moves=placement.anneal_moves
             )
         # VPR-style channel-width adaptation: retry with wider channels when
         # PathFinder cannot resolve congestion.

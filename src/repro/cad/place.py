@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.arch.layout import FabricLayout, TileType
 from repro.cad.pack import Cluster, PackedNetlist
@@ -29,6 +30,136 @@ INTEGRITY_CHECK_INTERVAL = 8
 _INTEGRITY_REL_TOL = 1e-6
 """Allowed relative disagreement between the incrementally-maintained
 cost and a from-scratch recomputation before the anneal fails loudly."""
+
+
+_RAW_CHUNK = 1024
+"""64-bit words fetched from the bit generator per refill of the stream."""
+
+_UINT32_SPAN = 1 << 32
+_TWO_POW_M53 = 2.0 ** -53
+
+
+class _ExactStream:
+    """numpy's ``Generator.integers(low, high)`` and ``Generator.random()``,
+    reproduced draw for draw from the PCG64 raw stream.
+
+    The anneal makes three to four scalar draws per move, and numpy's
+    scalar calls cost microseconds each in call overhead alone.  This
+    class reads 64-bit words in bulk (``bit_generator.random_raw``) and
+    applies numpy's own algorithms to them:
+
+    - ``integers`` (default int64 dtype) is the buffered 32-bit Lemire
+      method: a width-1 range returns ``low`` and draws nothing; 32-bit
+      halves of a word are handed out low half first, and the unused high
+      half is kept across calls (PCG64's ``has_uint32``/``uinteger``
+      state, read from the generator when the stream is made);
+    - ``random`` is ``(word >> 11) * 2**-53`` and leaves the 32-bit
+      buffer alone.
+
+    The generator itself runs ahead of the stream by up to one chunk, so
+    once a stream is made the generator must not be drawn from directly.
+    ``_verify_exact_stream`` checks the emulation against numpy once per
+    process.
+    """
+
+    __slots__ = ("_bitgen", "_raw", "_half")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(
+                f"exact-stream draws need a PCG64 bit generator, got "
+                f"{type(bitgen).__name__}"
+            )
+        state = bitgen.state
+        self._bitgen = bitgen
+        # Fetched words, reversed: pop() hands out the next one.
+        self._raw: List[int] = []
+        # The buffered high 32-bit half of a word, or -1 when empty.
+        self._half: int = state["uinteger"] if state["has_uint32"] else -1
+
+    def _refill(self) -> int:
+        raw = self._bitgen.random_raw(_RAW_CHUNK)[::-1].tolist()
+        word = raw.pop()
+        self._raw = raw
+        return word
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)``: uniform in ``[low, high)``."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= _UINT32_SPAN:
+            raise ValueError(f"unsupported range [{low}, {high})")
+        threshold = -1
+        while True:
+            half = self._half
+            if half < 0:
+                raw = self._raw
+                word = raw.pop() if raw else self._refill()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = -1
+            m = half * span
+            leftover = m & 0xFFFFFFFF
+            # Lemire's rejection: only leftovers below 2**32 mod span are
+            # biased, and that bound is below span itself.
+            if leftover >= span:
+                return low + (m >> 32)
+            if threshold < 0:
+                threshold = (_UINT32_SPAN - span) % span
+            if leftover >= threshold:
+                return low + (m >> 32)
+
+    def random(self) -> float:
+        """``Generator.random()``: uniform in ``[0, 1)``."""
+        raw = self._raw
+        word = raw.pop() if raw else self._refill()
+        return (word >> 11) * _TWO_POW_M53
+
+
+_GUARD_SEED = 20190325
+_GUARD_DRAWS = (
+    (0, 1), (-3, 4), None, (0, _UINT32_SPAN), (0, 7), (5, (1 << 31) + 12),
+    None, (0, 1), (-40, 41), (0, 3), (-(1 << 31), (1 << 31) - 1), None,
+)
+"""A mixed draw pattern: ``(low, high)`` for ``integers``, ``None`` for
+``random``; width-1 ranges, full 32-bit ranges and ranges that reject
+about half of their draws included."""
+
+_stream_verified = False
+
+
+def _verify_exact_stream() -> None:
+    """Fail loudly, once per process, if the emulated draws leave numpy's.
+
+    A numpy release that changes ``Generator.integers`` or ``random``
+    would otherwise change every placement without an error.
+    """
+    global _stream_verified
+    if _stream_verified:
+        return
+    reference = np.random.default_rng(_GUARD_SEED)
+    mirror = np.random.default_rng(_GUARD_SEED)
+    # Start with a buffered 32-bit half, as the anneal does after its shuffle.
+    reference.integers(0, 7)
+    mirror.integers(0, 7)
+    stream = _ExactStream(mirror)
+    for i in range(64):
+        bounds = _GUARD_DRAWS[i % len(_GUARD_DRAWS)]
+        if bounds is None:
+            expected, got = float(reference.random()), stream.random()
+        else:
+            expected = int(reference.integers(*bounds))
+            got = stream.integers(*bounds)
+        if got != expected:
+            raise RuntimeError(
+                f"exact-stream draw {i} ({bounds or 'random'}) gave {got!r}, "
+                f"numpy {np.__version__} gives {expected!r}: the anneal's "
+                f"random stream no longer matches numpy's Generator"
+            )
+    _stream_verified = True
 
 
 class PlacementIntegrityError(RuntimeError):
@@ -49,6 +180,11 @@ class Placement:
     occupants: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
     thermal_stats: Optional[ThermalPlaceStats] = None
     """Proxy/calibration telemetry when thermal-aware (``None`` otherwise)."""
+    anneal_levels: int = 0
+    """Temperature levels the anneal ran."""
+    anneal_moves: int = 0
+    """Moves proposed over those levels (initial-temperature samples not
+    counted)."""
 
     def tile_of_cluster(self, cluster_id: int) -> Tuple[int, int]:
         return self.location[cluster_id]
@@ -107,7 +243,10 @@ def place(
     placement = _initial_placement(packed, layout, rng)
     nets = _placement_nets(packed, net_weights)
     if not nets or len(packed.clusters) <= 1:
+        placement.validate(packed)
         return placement
+    _verify_exact_stream()
+    stream = _ExactStream(rng)
 
     # net_cost[i] is _net_hpwl of net i at the current placement, kept in
     # step by every applied move, so a proposal prices only the moved side.
@@ -136,7 +275,8 @@ def place(
     # keeps the tracked hpwl true for the integrity guard.
     hpwl0 = hpwl
     t, sampled_delta = _initial_temperature(
-        packed, layout, placement, nets, net_cost, nets_of_cluster, rng, proxy
+        packed, layout, placement, nets, net_cost, nets_of_cluster, stream,
+        proxy,
     )
     hpwl += sampled_delta
     # Termination-threshold baseline: the legacy placer seeded ``cost``
@@ -145,22 +285,27 @@ def place(
     cost = hpwl0 if proxy is None else hpwl + proxy.weighted_cost()
     range_limit = float(max(layout.width, layout.height))
 
+    random = stream.random
     levels = 0
     while t > 0.002 * max(cost, 1e-9) / max(len(nets), 1):
         accepted = 0
         for _ in range(moves_per_t):
             delta, hpwl_delta, apply_move = _propose(
                 packed, layout, placement, nets, net_cost, nets_of_cluster,
-                rng, range_limit, proxy,
+                stream, range_limit, proxy,
             )
             if apply_move is None:
                 continue
-            if delta <= 0 or rng.random() < math.exp(-delta / max(t, 1e-30)):
+            if delta <= 0 or random() < math.exp(-delta / max(t, 1e-30)):
                 apply_move()
                 cost += delta
                 hpwl += hpwl_delta
                 accepted += 1
         rate = accepted / moves_per_t
+        observe.event(
+            "place.level", level=levels, t=t, acceptance=rate,
+            range_limit=range_limit, cost=cost,
+        )
         # VPR schedule: cool slowly in the productive 15-80 % band.
         if rate > 0.96:
             alpha = 0.5
@@ -186,6 +331,8 @@ def place(
     if proxy is not None:
         proxy.calibrate()
         placement.thermal_stats = proxy.stats(thermal_weight)
+    placement.anneal_levels = levels
+    placement.anneal_moves = levels * moves_per_t
     placement.validate(packed)
     return placement
 
@@ -280,6 +427,16 @@ def _net_hpwl(
     ``location``: a proposed move is priced without copying the placement.
     """
     weight, clusters = net
+    if len(clusters) == 2:
+        # Most nets join two clusters.  |dx| + |dy| is the same integer as
+        # the bounding-box form below, so the result is bit-identical.
+        a, b = clusters
+        if overlay is None:
+            (xa, ya), (xb, yb) = location[a], location[b]
+        else:
+            xa, ya = overlay[a] if a in overlay else location[a]
+            xb, yb = overlay[b] if b in overlay else location[b]
+        return weight * (abs(xa - xb) + abs(ya - yb))
     if overlay is None:
         xs, ys = zip(*[location[c] for c in clusters])
     else:
@@ -290,14 +447,15 @@ def _net_hpwl(
 
 
 def _initial_temperature(
-    packed, layout, placement, nets, net_cost, nets_of_cluster, rng, proxy=None
+    packed, layout, placement, nets, net_cost, nets_of_cluster, stream,
+    proxy=None,
 ):
     """(initial T, summed HPWL delta of the applied sampling moves)."""
     deltas = []
     applied_hpwl = 0.0
     for _ in range(min(200, 10 * len(packed.clusters))):
         delta, hpwl_delta, apply_move = _propose(
-            packed, layout, placement, nets, net_cost, nets_of_cluster, rng,
+            packed, layout, placement, nets, net_cost, nets_of_cluster, stream,
             float(max(layout.width, layout.height)), proxy,
         )
         if apply_move is not None:
@@ -310,7 +468,7 @@ def _initial_temperature(
 
 
 def _propose(
-    packed, layout, placement, nets, net_cost, nets_of_cluster, rng,
+    packed, layout, placement, nets, net_cost, nets_of_cluster, stream,
     range_limit, proxy=None,
 ):
     """Propose a move; returns (delta_cost, delta_hpwl, apply | None).
@@ -321,14 +479,14 @@ def _propose(
     HPWL tracking.
     """
     location = placement.location
-    integers = rng.integers
-    cluster = packed.clusters[int(integers(0, len(packed.clusters)))]
+    integers = stream.integers
+    cluster = packed.clusters[integers(0, len(packed.clusters))]
     x0, y0 = location[cluster.id]
     limit = max(1, int(range_limit))
     # These draws are the anneal's random stream: their order and bounds
     # decide every placement (pinned by tests/data/golden_placements.json).
-    x1 = min(max(x0 + int(integers(-limit, limit + 1)), 0), layout.width - 1)
-    y1 = min(max(y0 + int(integers(-limit, limit + 1)), 0), layout.height - 1)
+    x1 = min(max(x0 + integers(-limit, limit + 1), 0), layout.width - 1)
+    y1 = min(max(y0 + integers(-limit, limit + 1), 0), layout.height - 1)
     if (x1, y1) == (x0, y0):
         return 0.0, 0.0, None
     target = layout.tile(x1, y1)
@@ -338,7 +496,7 @@ def _propose(
     occupants = placement.occupants.setdefault((x1, y1), [])
     swap_with: Optional[int] = None
     if len(occupants) >= target.capacity:
-        swap_with = occupants[int(integers(0, len(occupants)))]
+        swap_with = occupants[integers(0, len(occupants))]
 
     moved = [(cluster.id, (x0, y0), (x1, y1))]
     if swap_with is not None:

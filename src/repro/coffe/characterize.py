@@ -17,7 +17,7 @@ are applied to every other design corner, so corner-to-corner differences
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -121,19 +121,50 @@ class ResourceCharacterization:
         return np.interp(t_celsius, self.t_grid_celsius, self.leakage_w)
 
 
+@dataclass(frozen=True)
+class CircuitKey:
+    """The architecture fields :func:`build_circuits` reads, and no others.
+
+    Sizings, calibration factors and raw characterizations depend on the
+    architecture only through this key, so they are memoized on it:
+    architectures that differ elsewhere (channel widths, cluster size,
+    the hard-block columns, tile pitch) share one characterization.
+    """
+
+    lut_size: int
+    sb_mux_size: int
+    cb_mux_size: int
+    local_mux_size: int
+    feedback_mux_size: int
+    output_mux_size: int
+    vdd: float
+    vdd_low_power: float
+    bram_rows: int
+    bram_width_bits: int
+
+
+def circuit_key(arch: ArchParams) -> CircuitKey:
+    """The circuit key of an architecture."""
+    return CircuitKey(**{f.name: getattr(arch, f.name) for f in fields(CircuitKey)})
+
+
 def build_circuits(
     arch: ArchParams, corner_celsius: float
 ) -> Dict[str, SizableCircuit]:
-    """Instantiate all Table II resources for a given design corner."""
-    circuits: Dict[str, SizableCircuit] = dict(soft_fabric_circuits(arch))
+    """Instantiate all Table II resources for a given design corner.
+
+    Reads the architecture only through its :class:`CircuitKey`.
+    """
+    key = circuit_key(arch)
+    circuits: Dict[str, SizableCircuit] = dict(soft_fabric_circuits(key))
     circuits["bram"] = BramModel(
         "bram",
-        arch.vdd_low_power,
+        key.vdd_low_power,
         design_corner_kelvin=celsius_to_kelvin(corner_celsius),
-        n_rows=arch.bram_rows,
-        n_cols=arch.bram_width_bits,
+        n_rows=key.bram_rows,
+        n_cols=key.bram_width_bits,
     )
-    circuits["dsp"] = DspModel("dsp", arch.vdd)
+    circuits["dsp"] = DspModel("dsp", key.vdd)
     return circuits
 
 
@@ -147,7 +178,7 @@ Real tile floorplans leave headroom over the lean ADP optimum; the corner
 optimizer may spend it (e.g. on transmission-gate topologies or larger
 drivers) where the corner temperature justifies it."""
 
-_BUDGET_CACHE: Dict[ArchParams, Dict[str, SizingResult]] = {}
+_BUDGET_CACHE: Dict[CircuitKey, Dict[str, SizingResult]] = {}
 
 
 def reference_sizings(arch: ArchParams) -> Dict[str, SizingResult]:
@@ -155,15 +186,16 @@ def reference_sizings(arch: ArchParams) -> Dict[str, SizingResult]:
 
     Fixes the common silicon (area) budget all corner fabrics must respect —
     the floorplan of a device family does not change between grades.  Cached
-    per architecture.
+    per circuit key.
     """
-    if arch in _BUDGET_CACHE:
-        return _BUDGET_CACHE[arch]
+    key = circuit_key(arch)
+    if key in _BUDGET_CACHE:
+        return _BUDGET_CACHE[key]
     refs = {
         name: size_subcircuit(circuit, celsius_to_kelvin(REFERENCE_CORNER_CELSIUS))
         for name, circuit in build_circuits(arch, REFERENCE_CORNER_CELSIUS).items()
     }
-    _BUDGET_CACHE[arch] = refs
+    _BUDGET_CACHE[key] = refs
     return refs
 
 
@@ -235,6 +267,43 @@ def characterize_resource(
     )
 
 
+_RAW_CACHE: Dict[Tuple[CircuitKey, float], Dict[str, ResourceCharacterization]] = {}
+
+
+def _raw_characterization(
+    arch: ArchParams, corner_celsius: float
+) -> Dict[str, ResourceCharacterization]:
+    """Uncalibrated characterization of every resource sized at a corner.
+
+    Memoized per (circuit key, corner): the 25 C result serves both the
+    calibration and the 25 C fabric.  The memo's objects are never handed
+    out; :func:`_fresh_copy` them.
+    """
+    key = (circuit_key(arch), corner_celsius)
+    raw = _RAW_CACHE.get(key)
+    if raw is None:
+        raw = {}
+        for name, circuit in build_circuits(arch, corner_celsius).items():
+            variant, sizing = corner_sizing(arch, circuit, corner_celsius)
+            raw[name] = characterize_resource(variant, corner_celsius, sizing)
+        _RAW_CACHE[key] = raw
+    return raw
+
+
+def _fresh_copy(
+    char: ResourceCharacterization, corner_celsius: float
+) -> ResourceCharacterization:
+    """A copy sharing no mutable state with ``char``."""
+    return replace(
+        char,
+        corner_celsius=corner_celsius,
+        sizes=dict(char.sizes),
+        t_grid_celsius=char.t_grid_celsius.copy(),
+        delay_s=char.delay_s.copy(),
+        leakage_w=char.leakage_w.copy(),
+    )
+
+
 @dataclass(frozen=True)
 class CalibrationScales:
     """Per-resource multiplicative calibration factors (see module docstring)."""
@@ -245,25 +314,24 @@ class CalibrationScales:
     pdyn: Mapping[str, float]
 
 
-_CALIBRATION_CACHE: Dict[ArchParams, CalibrationScales] = {}
+_CALIBRATION_CACHE: Dict[CircuitKey, CalibrationScales] = {}
 
 
 def calibration_scales(arch: ArchParams) -> CalibrationScales:
     """Calibration factors anchoring the 25 C corner to paper Table II.
 
-    Computed once per architecture and cached: characterize the raw model at
+    Computed once per circuit key and cached: characterize the raw model at
     the 25 C corner and take the ratio to the published Table II values at
     25 C.
     """
-    if arch in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[arch]
+    key = circuit_key(arch)
+    if key in _CALIBRATION_CACHE:
+        return _CALIBRATION_CACHE[key]
     delay_scales: Dict[str, float] = {}
     area_scales: Dict[str, float] = {}
     leak_scales: Dict[str, float] = {}
     pdyn_scales: Dict[str, float] = {}
-    for name, circuit in build_circuits(arch, 25.0).items():
-        variant, sizing = corner_sizing(arch, circuit, 25.0)
-        raw = characterize_resource(variant, 25.0, sizing)
+    for name, raw in _raw_characterization(arch, 25.0).items():
         target = TABLE2[name]
         raw_d25 = float(raw.delay_at(25.0))
         raw_l25 = float(raw.leakage_at(25.0))
@@ -272,7 +340,7 @@ def calibration_scales(arch: ArchParams) -> CalibrationScales:
         leak_scales[name] = target.plkg_fit(25.0) * 1e-6 / raw_l25
         pdyn_scales[name] = target.pdyn_uw * 1e-6 / raw.pdyn_w_base
     scales = CalibrationScales(delay_scales, area_scales, leak_scales, pdyn_scales)
-    _CALIBRATION_CACHE[arch] = scales
+    _CALIBRATION_CACHE[key] = scales
     return scales
 
 
@@ -285,12 +353,12 @@ def characterize_fabric(
 
     With ``calibrated=True`` (default) the per-resource calibration factors
     anchored at the 25 C corner are applied, yielding Table II units.
+    Every call returns new objects: the caller may mutate them freely.
     """
     scales = calibration_scales(arch) if calibrated else None
     out: Dict[str, ResourceCharacterization] = {}
-    for name, circuit in build_circuits(arch, corner_celsius).items():
-        variant, sizing = corner_sizing(arch, circuit, corner_celsius)
-        char = characterize_resource(variant, corner_celsius, sizing)
+    for name, raw in _raw_characterization(arch, corner_celsius).items():
+        char = _fresh_copy(raw, corner_celsius)
         if scales is not None:
             char.delay_s = char.delay_s * scales.delay[name]
             char.leakage_w = char.leakage_w * scales.leakage[name]

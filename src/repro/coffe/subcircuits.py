@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
 
 from repro.arch.params import ArchParams
 from repro.spice.devices import (
@@ -38,6 +38,9 @@ from repro.spice.devices import (
 )
 from repro.technology.ptm22 import HP_NMOS, HP_PMOS, DeviceParams
 from repro.technology.temperature import T_REFERENCE_K, celsius_to_kelvin
+
+if TYPE_CHECKING:
+    from repro.coffe.characterize import CircuitKey
 
 PN_RATIO = 1.8
 """PMOS/NMOS width ratio of inverters."""
@@ -482,8 +485,14 @@ class LutModel(SizableCircuit):
         return c_tree + c_buffers + self.fanout_cap_farads
 
 
-def soft_fabric_circuits(arch: ArchParams) -> Dict[str, SizableCircuit]:
+def soft_fabric_circuits(
+    arch: Union[ArchParams, CircuitKey],
+) -> Dict[str, SizableCircuit]:
     """The six sizable soft-fabric resources of paper Table II.
+
+    Reads ``lut_size``, the five mux sizes and ``vdd``: an
+    :class:`~repro.arch.params.ArchParams` or its
+    :class:`~repro.coffe.characterize.CircuitKey`.
 
     Wire loads and fanouts reflect the island-style structure: the SB mux
     drives a length-4 metal segment fanning out to downstream SB/CB muxes;

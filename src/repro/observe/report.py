@@ -205,6 +205,46 @@ def cell_summary(trace: Trace) -> List[Dict[str, object]]:
     return rows
 
 
+def _level_of(attrs: Dict[str, object]) -> int:
+    level = attrs.get("level")
+    return level if isinstance(level, int) else 0
+
+
+def anneal_summary(trace: Trace) -> List[Dict[str, object]]:
+    """Per-anneal rows: each ``flow.place`` span with its ``place.level``
+    events (first and last temperature level of the cooling schedule)."""
+    by_id = {node.span_id: node for node in trace.spans if node.span_id}
+    levels: Dict[str, List[Dict[str, object]]] = {}
+    for record in trace.events:
+        attrs = record.get("attrs")
+        if record.get("name") == "place.level" and isinstance(attrs, dict):
+            levels.setdefault(str(record.get("span_id")), []).append(attrs)
+    rows = []
+    for node in sorted(
+        (n for n in trace.spans if n.name == "flow.place"),
+        key=lambda n: n.t_start,
+    ):
+        parent = by_id.get(node.parent_id) if node.parent_id else None
+        events = sorted(levels.get(str(node.span_id), []), key=_level_of)
+        first = events[0] if events else {}
+        last = events[-1] if events else {}
+        rows.append(
+            {
+                "netlist": parent.attrs.get("netlist", "?") if parent else "?",
+                "levels": node.attrs.get("levels"),
+                "moves": node.attrs.get("moves"),
+                "level_events": len(events),
+                "wall_s": node.duration_s,
+                **{
+                    f"{key}_{end}": attrs.get(key)
+                    for end, attrs in (("first", first), ("last", last))
+                    for key in ("t", "acceptance", "cost")
+                },
+            }
+        )
+    return rows
+
+
 def metric_summary(trace: Trace) -> Dict[str, Dict[str, object]]:
     """Merge per-process metric records: counters summed, histograms
     union-merged, gauges last-write-wins."""
@@ -265,6 +305,13 @@ def _fmt_attrs(attrs: Dict[str, object], limit: int = 6) -> str:
     if len(attrs) > limit:
         parts.append("...")
     return " ".join(parts)
+
+
+def _fmt_pair(first: object, last: object) -> str:
+    def one(value: object) -> str:
+        return f"{value:.4g}" if isinstance(value, (int, float)) else "?"
+
+    return f"{one(first)} > {one(last)}"
 
 
 def _render_node(
@@ -337,6 +384,23 @@ def render_report(
                     title="per-cell summary",
                 )
             )
+        anneals = anneal_summary(trace)
+        if anneals:
+            blocks.append(
+                format_table(
+                    ["netlist", "levels", "moves", "T first>last",
+                     "accept first>last", "cost first>last", "wall"],
+                    [
+                        (row["netlist"], row["levels"], row["moves"],
+                         _fmt_pair(row["t_first"], row["t_last"]),
+                         _fmt_pair(row["acceptance_first"], row["acceptance_last"]),
+                         _fmt_pair(row["cost_first"], row["cost_last"]),
+                         _fmt_duration(row["wall_s"] if isinstance(row["wall_s"], float) else None))
+                        for row in anneals
+                    ],
+                    title="anneal summary (flow.place, place.level events)",
+                )
+            )
         metrics = metric_summary(trace)
         metric_rows: List[Tuple[str, str, str]] = []
         for name, value in metrics["counters"].items():
@@ -400,6 +464,7 @@ def report_dict(trace_file: TraceFile) -> Dict[str, object]:
                     for name, count, total, mean, lo, hi in phase_summary(trace)
                 ],
                 "cells": cell_summary(trace),
+                "anneals": anneal_summary(trace),
                 "metrics": metric_summary(trace),
                 "events": event_summary(trace),
             }

@@ -110,6 +110,37 @@ class TestPlacement:
             crowded.validate(packed)
 
 
+class TestEarlyReturn:
+    """A design with nothing to anneal skips the anneal, not validation."""
+
+    def test_validated_without_multi_cluster_nets(
+        self, packed, layout, monkeypatch
+    ):
+        import repro.cad.place as place_module
+
+        real_initial = place_module._initial_placement
+
+        def misplaced(packed_, layout_, rng):
+            initial = real_initial(packed_, layout_, rng)
+            # Put a CLB cluster on an IO tile.
+            clb = next(c for c in packed_.clusters if c.type == TileType.CLB)
+            initial.location[clb.id] = (0, 1)
+            return initial
+
+        monkeypatch.setattr(place_module, "_placement_nets", lambda *a: [])
+        monkeypatch.setattr(place_module, "_initial_placement", misplaced)
+        with pytest.raises(ValueError, match=r"placed on io tile \(0, 1\)"):
+            place(packed, layout, seed=3)
+
+    def test_no_anneal_levels_reported(self, packed, layout, monkeypatch):
+        import repro.cad.place as place_module
+
+        monkeypatch.setattr(place_module, "_placement_nets", lambda *a: [])
+        placement = place(packed, layout, seed=3)
+        placement.validate(packed)
+        assert (placement.anneal_levels, placement.anneal_moves) == (0, 0)
+
+
 class TestRangeWindowSchedule:
     """The VPR move-window shrink: hold near 44 % acceptance."""
 

@@ -8,7 +8,7 @@ from repro import observe
 from repro.arch.params import ArchParams
 from repro.cad.flow import run_flow
 from repro.cad.route import RoutingError
-from repro.observe.report import load_traces, render_report
+from repro.observe.report import load_traces, render_report, report_dict
 from repro.cad.timing import FF_CLK_TO_Q_S, FF_SETUP_S
 from repro.netlists.netlist import BlockType
 
@@ -128,6 +128,55 @@ class TestFlowRouteAttempts:
         assert "flow.route.attempt" in text
         assert "width=16 ok=False iterations=" in text
         assert "width=24 ok=True" in text
+
+
+class TestFlowPlaceLevels:
+    """One ``place.level`` event per anneal temperature level."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tiny_netlist, arch, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "flow.jsonl"
+        with observe.enabled(jsonl_path=str(path)):
+            flow = run_flow(tiny_netlist, arch, seed=11, use_cache=False)
+        return flow, load_traces(str(path))
+
+    def test_one_event_per_level_under_flow_place(self, traced):
+        flow, trace_file = traced
+        (trace,) = trace_file.traces
+        (place_span,) = [n for n in trace.spans if n.name == "flow.place"]
+        levels = [
+            e["attrs"] for e in trace.events
+            if e["name"] == "place.level"
+            and e["span_id"] == place_span.span_id
+        ]
+        n_levels = flow.placement.anneal_levels
+        assert n_levels > 0 and len(levels) == n_levels
+        assert place_span.attrs["levels"] == n_levels
+        assert place_span.attrs["moves"] == flow.placement.anneal_moves > 0
+        assert flow.placement.anneal_moves % n_levels == 0
+        assert [e["level"] for e in levels] == list(range(n_levels))
+        for event in levels:
+            assert set(event) == {"level", "t", "acceptance", "range_limit", "cost"}
+            assert 0.0 <= event["acceptance"] <= 1.0
+            assert event["range_limit"] >= 1.0
+        temperatures = [e["t"] for e in levels]
+        assert temperatures == sorted(temperatures, reverse=True)
+
+    def test_tracing_does_not_change_the_placement(self, traced, tiny_netlist, arch):
+        flow, _trace_file = traced
+        untraced = run_flow(tiny_netlist, arch, seed=11, use_cache=False)
+        assert untraced.placement.location == flow.placement.location
+
+    def test_report_shows_the_anneal(self, traced):
+        flow, trace_file = traced
+        text = render_report(trace_file)
+        assert "anneal summary" in text
+        assert f"levels={flow.placement.anneal_levels}" in text
+        (row,) = report_dict(trace_file)["traces"][0]["anneals"]
+        assert row["netlist"] == flow.netlist.name
+        assert row["levels"] == row["level_events"] == flow.placement.anneal_levels
+        assert row["moves"] == flow.placement.anneal_moves
+        assert row["t_first"] > row["t_last"]
 
 
 class TestFlowRouteLegality:

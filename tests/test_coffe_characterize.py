@@ -1,19 +1,27 @@
 """Tests for the characterization/calibration layer itself."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
+from repro.coffe import characterize
 from repro.coffe.characterize import (
     AREA_BUDGET_HEADROOM,
     REFERENCE_CORNER_CELSIUS,
     T_GRID_CELSIUS,
+    CircuitKey,
     build_circuits,
     calibration_scales,
+    characterize_fabric,
     characterize_resource,
+    circuit_key,
     corner_sizing,
     reference_sizings,
 )
+from repro.coffe.fabric import build_fabric
+from test_golden_fabrics import fabric_digests
 from repro.technology.temperature import celsius_to_kelvin
 
 
@@ -114,3 +122,97 @@ class TestCalibration:
         assert calibration_scales(small).delay["lut"] != calibration_scales(
             default
         ).delay["lut"]
+
+
+def _circuit_fingerprints(arch, corner=25.0):
+    return {
+        name: (type(circuit).__name__, repr(sorted(vars(circuit).items())))
+        for name, circuit in build_circuits(arch, corner).items()
+    }
+
+
+def _perturbed(arch, name):
+    """``arch`` with one field moved to another valid value."""
+    value = getattr(arch, name)
+    return arch.with_changes(**{name: value + 1 if isinstance(value, int) else value * 0.9})
+
+
+_ARCH_FIELDS = [f.name for f in dataclasses.fields(ArchParams)]
+_KEY_FIELDS = [f.name for f in dataclasses.fields(CircuitKey)]
+
+
+class TestCircuitKey:
+    """Sizing, calibration and characterization memos are keyed on the
+    fields ``build_circuits`` reads; the key must hold all of them."""
+
+    def test_key_fields_are_arch_fields(self):
+        assert set(_KEY_FIELDS) < set(_ARCH_FIELDS)
+        assert len(_KEY_FIELDS) == 10
+
+    def test_fingerprint_is_deterministic(self, arch):
+        assert _circuit_fingerprints(arch) == _circuit_fingerprints(ArchParams())
+        assert " at 0x" not in repr(_circuit_fingerprints(arch))
+
+    @pytest.mark.parametrize(
+        "field", [f for f in _ARCH_FIELDS if f not in _KEY_FIELDS]
+    )
+    def test_fields_outside_the_key_change_nothing(self, arch, field):
+        other = _perturbed(arch, field)
+        assert circuit_key(other) == circuit_key(arch)
+        assert _circuit_fingerprints(other) == _circuit_fingerprints(arch)
+        base, moved = build_fabric(25.0, arch), build_fabric(25.0, other)
+        assert moved.arch == other and moved is not base
+        assert fabric_digests(moved) == fabric_digests(base)
+
+    @pytest.mark.parametrize("field", _KEY_FIELDS)
+    def test_every_key_field_changes_the_circuits(self, arch, field):
+        other = _perturbed(arch, field)
+        assert circuit_key(other) != circuit_key(arch)
+        assert _circuit_fingerprints(other) != _circuit_fingerprints(arch)
+
+    def test_memos_shared_across_a_key(self, arch):
+        other = arch.with_changes(routed_channel_tracks=20)
+        assert reference_sizings(other) is reference_sizings(arch)
+        assert calibration_scales(other) is calibration_scales(arch)
+
+    def test_uncached_build_outside_the_key_matches(self, arch, monkeypatch):
+        """Same numbers when nothing is memoized yet (a cold process)."""
+        base = fabric_digests(build_fabric(70.0, arch))
+        for memo in ("_BUDGET_CACHE", "_CALIBRATION_CACHE", "_RAW_CACHE"):
+            monkeypatch.setattr(characterize, memo, {})
+        other = arch.with_changes(routed_channel_tracks=20, cluster_size=8)
+        assert fabric_digests(build_fabric(70.0, other, use_cache=False)) == base
+
+
+class TestNoPoisoning:
+    """Characterizations handed out never alias the memo."""
+
+    @staticmethod
+    def _mutate(resources):
+        for char in resources.values():
+            char.delay_s *= 2.0
+            char.leakage_w[:] = 0.0
+            char.t_grid_celsius[:] = -1.0
+            char.sizes.clear()
+            char.area_um2 = -1.0
+
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_mutating_a_characterization(self, arch, calibrated):
+        before = fabric_digests(build_fabric(25.0, arch, use_cache=False))
+        raw_before = characterize_fabric(arch, 25.0, calibrated=False)
+        self._mutate(characterize_fabric(arch, 25.0, calibrated=calibrated))
+        assert fabric_digests(build_fabric(25.0, arch, use_cache=False)) == before
+        raw_after = characterize_fabric(arch, 25.0, calibrated=False)
+        for name, char in raw_after.items():
+            assert np.array_equal(char.delay_s, raw_before[name].delay_s)
+            assert np.array_equal(char.t_grid_celsius, T_GRID_CELSIUS)
+            assert char.sizes == raw_before[name].sizes
+
+    def test_mutating_a_fabric(self, arch):
+        before = fabric_digests(build_fabric(25.0, arch, use_cache=False))
+        self._mutate(build_fabric(25.0, arch, use_cache=False).resources)
+        assert fabric_digests(build_fabric(25.0, arch, use_cache=False)) == before
+
+    def test_fabric_cached_per_arch_and_corner(self, arch):
+        assert build_fabric(25.0, arch) is build_fabric(25.0, arch)
+        assert build_fabric(25.0, arch) is not build_fabric(70.0, arch)

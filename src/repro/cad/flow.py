@@ -57,6 +57,22 @@ class FlowResult:
     def n_tiles(self) -> int:
         return self.layout.n_tiles
 
+    @property
+    def derived(self) -> Dict[str, object]:
+        """Per-process state that consumers derive from this flow.
+
+        Algorithm 1 keeps the inputs it reuses across sweep cells here
+        (:mod:`repro.core.inputs`).  The dict lives and dies with this
+        object and is never pickled: the flow cache stores the mapping
+        only, and a copy starts empty.
+        """
+        return self.__dict__.setdefault("_derived", {})
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_derived", None)
+        return state
+
 
 _FLOW_CACHE: Dict[Tuple[str, ArchParams, int, float], FlowResult] = {}
 
@@ -82,8 +98,12 @@ def _count_cache(kind: str, **attrs: object) -> None:
     observe.event(f"flow.cache.{kind}", **attrs)
 
 
-FLOW_CACHE_VERSION = 5
+FLOW_CACHE_VERSION = 6
 """Bump to invalidate on-disk flow caches after algorithmic changes.
+
+Version 6: ``RRNode``/``RREdge`` became slotted classes.  A v5 pickle
+stores their state as a ``__dict__``, which a slotted class cannot take
+(``AttributeError`` on load); the new key never reads one.
 
 Version 5: thermal-aware placement — the placer grew a ``thermal_weight``
 objective term, and the weight became a key component (``w...``); stale

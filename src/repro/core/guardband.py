@@ -24,11 +24,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import observe
-from repro.activity.ace import ActivityEstimate, estimate_activity
+from repro.activity.ace import ActivityEstimate
 from repro.cad.flow import FlowResult
 from repro.cad.timing import TimingReport
 from repro.coffe.fabric import Fabric
-from repro.power.model import PowerBreakdown, PowerModel
+from repro.core.inputs import AlgorithmInputs, algorithm_inputs
+from repro.power.model import PowerBreakdown
 from repro.power.voltage import (
     VDD_MIN_V,
     VDD_TOLERANCE_V,
@@ -36,7 +37,6 @@ from repro.power.voltage import (
     resource_delay_scale,
 )
 from repro.technology.ptm22 import VDD_NOMINAL
-from repro.thermal.hotspot import ThermalSolver
 from repro.thermal.package import ThermalPackage
 
 DELTA_T_CELSIUS = 2.0
@@ -328,6 +328,21 @@ def _seed_profile(
     return np.full(n_tiles, float(t_ambient)), False  # line 1
 
 
+def _run_inputs(
+    run_span: observe.SpanLike,
+    flow: FlowResult,
+    fabric: Fabric,
+    config: GuardbandConfig,
+    activity: Optional[ActivityEstimate],
+) -> AlgorithmInputs:
+    """The run's reused-or-built inputs, noted on its top-level span."""
+    inputs = algorithm_inputs(
+        flow, fabric, config.base_activity, config.package, activity
+    )
+    run_span.set_attrs(inputs="built" if inputs.built else "reused")
+    return inputs
+
+
 def thermal_aware_guardband(
     flow: FlowResult,
     fabric: Fabric,
@@ -365,16 +380,11 @@ def thermal_aware_guardband(
             "warm_start_policy": warm_start_policy,
         },
     )
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-    if activity is None:
-        activity = estimate_activity(flow.netlist, config.base_activity)
-
     if config.mode == "energy":
         return _energy_guardband(flow, fabric, t_ambient, activity, config, warm_start)
 
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
+    delta_t = config.delta_t
+    max_iterations = config.max_iterations
     n_tiles = flow.layout.n_tiles
 
     t_tiles, warm_started = _seed_profile(warm_start, n_tiles, t_ambient)
@@ -392,6 +402,8 @@ def thermal_aware_guardband(
         warm_started=warm_started,
     )
     with run_span:
+        inputs = _run_inputs(run_span, flow, fabric, config, activity)
+        power_model, solver = inputs.power_model, inputs.solver
         for _ in range(max_iterations):
             iterations += 1
             it_span = observe.span("guardband.iteration", index=iterations)
@@ -475,7 +487,7 @@ def _energy_guardband(
     flow: FlowResult,
     fabric: Fabric,
     t_ambient: float,
-    activity: ActivityEstimate,
+    activity: Optional[ActivityEstimate],
     config: GuardbandConfig,
     warm_start: Optional[np.ndarray],
 ) -> GuardbandResult:
@@ -502,8 +514,6 @@ def _energy_guardband(
     f_target = float(config.target_frequency_hz)  # type: ignore[arg-type]
     period_s = 1.0 / f_target
 
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
     scaling = VoltageScaling()
     n_tiles = flow.layout.n_tiles
     t_seed, warm_started = _seed_profile(warm_start, n_tiles, t_ambient)
@@ -596,6 +606,8 @@ def _energy_guardband(
         warm_started=warm_started,
     )
     with run_span:
+        inputs = _run_inputs(run_span, flow, fabric, config, activity)
+        power_model, solver = inputs.power_model, inputs.solver
         # Feasibility at nominal supply doubles as the savings baseline.
         v_hi = scaling.vdd_nominal
         t_conv, power = converge(v_hi, t_seed)
@@ -749,14 +761,9 @@ def thermal_aware_guardband_batch(
     batch_cells = _coerce_cells(cells, flow.layout.n_tiles)
     if not batch_cells:
         return []
-    if activity is None:
-        activity = estimate_activity(flow.netlist, config.base_activity)
-
     if config.mode == "energy":
         return _energy_guardband_batch(flow, fabric, batch_cells, config, activity)
 
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
     n_cells = len(batch_cells)
     n_tiles = flow.layout.n_tiles
     delta_t = config.delta_t
@@ -789,6 +796,8 @@ def thermal_aware_guardband_batch(
         n_warm_started=int(warm_started.sum()),
     )
     with run_span:
+        inputs = _run_inputs(run_span, flow, fabric, config, activity)
+        power_model, solver = inputs.power_model, inputs.solver
         for step in range(max_iterations):
             index = np.flatnonzero(active)
             if index.size == 0:
@@ -910,7 +919,7 @@ def _energy_guardband_batch(
     fabric: Fabric,
     batch_cells: List[BatchCell],
     config: GuardbandConfig,
-    activity: ActivityEstimate,
+    activity: Optional[ActivityEstimate],
 ) -> List[BatchOutcome]:
     """Batched energy objective: joint VDD bisection at iso-frequency.
 
@@ -930,8 +939,6 @@ def _energy_guardband_batch(
     f_target = float(config.target_frequency_hz)  # type: ignore[arg-type]
     period_s = 1.0 / f_target
 
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
     scaling = VoltageScaling()
     n_cells = len(batch_cells)
     n_tiles = flow.layout.n_tiles
@@ -1040,6 +1047,8 @@ def _energy_guardband_batch(
         n_warm_started=int(warm_started.sum()),
     )
     with run_span:
+        inputs = _run_inputs(run_span, flow, fabric, config, activity)
+        power_model, solver = inputs.power_model, inputs.solver
         live = np.arange(n_cells)
         v_nominal = scaling.vdd_nominal
         # Trial 0: feasibility at nominal supply, doubling as the

@@ -106,8 +106,19 @@ class PowerBreakdown:
         return self.total_w.sum(axis=1)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class PowerModel:
-    """Evaluates the per-tile power vector for a placed-and-routed design."""
+    """Evaluates the per-tile power vector for a placed-and-routed design.
+
+    Immutable once built: every array it holds is read-only, so one
+    model can serve every Algorithm 1 run over the same (flow, fabric,
+    activity) — see :mod:`repro.core.inputs`.  It keeps no reference to
+    the flow, so a model cached on its flow forms no reference cycle.
+    """
 
     def __init__(
         self,
@@ -115,7 +126,6 @@ class PowerModel:
         fabric: Fabric,
         activity: ActivityEstimate,
     ):
-        self.flow = flow
         self.fabric = fabric
         self.activity = activity
         layout = flow.layout
@@ -171,8 +181,8 @@ class PowerModel:
         self._dyn_tiles: Dict[str, np.ndarray] = {}
         self._dyn_alphas: Dict[str, np.ndarray] = {}
         for name, (tiles, alphas) in users.items():
-            self._dyn_tiles[name] = np.asarray(tiles, dtype=int)
-            self._dyn_alphas[name] = np.asarray(alphas)
+            self._dyn_tiles[name] = _read_only(np.asarray(tiles, dtype=int))
+            self._dyn_alphas[name] = _read_only(np.asarray(alphas))
 
         # Activity matrix: alpha_sum[resource, tile] = total switching
         # activity of that resource's users on that tile.  Dynamic power at
@@ -195,19 +205,28 @@ class PowerModel:
         # leakage at arbitrary per-tile temperatures is one gathered linear
         # interpolation.  Only valid on the canonical 1 degC uniform grid.
         chars = [fabric.resources[name] for name in RESOURCES]
+        self._leak_table: Optional[np.ndarray] = None
+        # Rail-split leakage tables for voltage scaling: (scaled soft-fabric
+        # rail, fixed BRAM rail), each shaped like _leak_table and summing
+        # to it.
+        self._leak_split: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if all(
             c.t_grid_celsius.shape == T_GRID_CELSIUS.shape
             and np.array_equal(c.t_grid_celsius, T_GRID_CELSIUS)
             for c in chars
         ):
-            self._leak_table = self._counts.T @ np.vstack(
-                [c.leakage_w for c in chars]
+            rows = np.vstack([c.leakage_w for c in chars])
+            self._leak_table = _read_only(self._counts.T @ rows)
+            scaled_counts = np.where(
+                _FIXED_RAIL_MASK[:, None], 0.0, self._counts
             )
-        else:
-            self._leak_table = None
-        # Rail-split leakage tables for voltage scaling, built lazily by
-        # _split_leak_tables(): (scaled soft-fabric rail, fixed BRAM rail).
-        self._leak_split: Optional[Tuple[np.ndarray, np.ndarray]] = None
+            fixed_counts = self._counts - scaled_counts
+            self._leak_split = (
+                _read_only(scaled_counts.T @ rows),
+                _read_only(fixed_counts.T @ rows),
+            )
+        for array in (self._counts, self._alpha_matrix, self._pdyn_base):
+            _read_only(array)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -344,30 +363,6 @@ class PowerModel:
 
     # -- voltage-scaled evaluation (energy-mode objective) -------------------
 
-    def _split_leak_tables(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Per-tile leakage tables split by supply rail, lazily built.
-
-        Returns ``(scaled, fixed)`` — each ``(n_tiles, n_grid)`` like
-        ``_leak_table`` — where ``scaled`` sums the soft-fabric-rail
-        inventory (subject to voltage scaling) and ``fixed`` the BRAM-rail
-        inventory (exempt).  ``scaled + fixed == _leak_table`` exactly.
-        ``None`` off the canonical characterization grid.
-        """
-        if self._leak_table is None:
-            return None
-        if self._leak_split is None:
-            chars = [self.fabric.resources[name] for name in RESOURCES]
-            rows = np.vstack([c.leakage_w for c in chars])
-            scaled_counts = np.where(
-                _FIXED_RAIL_MASK[:, None], 0.0, self._counts
-            )
-            fixed_counts = self._counts - scaled_counts
-            self._leak_split = (
-                scaled_counts.T @ rows,
-                fixed_counts.T @ rows,
-            )
-        return self._leak_split
-
     @staticmethod
     def _leak_lerp(table: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Gathered per-tile lerp of a ``(n_tiles, n_grid)`` leakage table.
@@ -394,9 +389,8 @@ class PowerModel:
         """
         t = np.asarray(t_tiles, dtype=float)
         scale_tiles = np.asarray(scale_tiles, dtype=float)
-        split = self._split_leak_tables()
-        if split is not None:
-            scaled_table, fixed_table = split
+        if self._leak_split is not None:
+            scaled_table, fixed_table = self._leak_split
             return (
                 self._leak_lerp(scaled_table, t) * scale_tiles
                 + self._leak_lerp(fixed_table, t)

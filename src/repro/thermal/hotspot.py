@@ -28,7 +28,11 @@ from repro.thermal.package import ThermalPackage
 
 
 class ThermalSolver:
-    """Pre-factored steady-state solver for one layout/package pair."""
+    """Pre-factored steady-state solver for one layout/package pair.
+
+    Immutable once built: ``solve`` only back-substitutes, and the
+    conductance matrix's arrays are read-only.
+    """
 
     def __init__(
         self,
@@ -54,6 +58,14 @@ class ThermalSolver:
             self._conductance = csr_matrix(matrix)
             # One-time LU factorization; solve() is two triangular solves.
             self._factor = splu(self._conductance.tocsc())
+        # Read-only, so one solver can serve every Algorithm 1 run over
+        # its layout (see repro.core.inputs).
+        for array in (
+            self._conductance.data,
+            self._conductance.indices,
+            self._conductance.indptr,
+        ):
+            array.flags.writeable = False
 
     def _check_power(self, power_w) -> np.ndarray:
         power_w = np.asarray(power_w, dtype=float)

@@ -1,5 +1,6 @@
 """Tests for the on-disk place-and-route cache."""
 
+import copyreg
 import os
 import pickle
 import subprocess
@@ -7,10 +8,12 @@ import sys
 
 import pytest
 
+from repro.arch.rrgraph import RRNode, RRNodeType
 from repro.cad.flow import (
     FLOW_CACHE_VERSION,
     _disk_cache_path,
     arch_digest,
+    cache_counters,
     flow_cache_key,
     flow_cache_key_for,
     run_flow,
@@ -22,6 +25,19 @@ from repro.netlists.generator import NetlistSpec, generate_netlist
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     return tmp_path
+
+
+class _DictStateNode:
+    """Pickles as an ``RRNode`` whose state is a ``__dict__`` — the layout
+    every flow pickle written before the slotted RR classes carries."""
+
+    def __reduce__(self):
+        return (
+            copyreg._reconstructor,
+            (RRNode, object, None),
+            {"id": 0, "type": RRNodeType.SOURCE, "x": 1, "y": 1,
+             "capacity": 1, "span": (1, 1, 1, 1)},
+        )
 
 
 @pytest.fixture()
@@ -57,6 +73,52 @@ class TestDiskCache:
         assert quarantined[0].read_bytes() == b"not a pickle"
         with open(path, "rb") as handle:
             pickle.load(handle)
+
+    def test_pre_bump_pickle_path_misses_cleanly(
+        self, cache_dir, small_netlist, arch, monkeypatch
+    ):
+        """A pickle from the previous cache version sits under the old key:
+        it is neither read nor quarantined, and the flow is recomputed."""
+        from repro.cad import flow as flow_module
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "FLOW_CACHE_VERSION", FLOW_CACHE_VERSION - 1)
+            old_path = _disk_cache_path(small_netlist, arch, 3)
+        old_bytes = pickle.dumps(_DictStateNode())
+        old_path.write_bytes(old_bytes)
+        flow_module._FLOW_CACHE.clear()
+        before = cache_counters()
+        run_flow(small_netlist, arch, seed=3)
+        after = cache_counters()
+        assert after["miss"] - before["miss"] == 1
+        assert after["quarantine"] == before["quarantine"]
+        assert old_path.read_bytes() == old_bytes
+        assert _disk_cache_path(small_netlist, arch, 3).exists()
+
+    def test_dict_state_rr_node_is_quarantined(
+        self, cache_dir, small_netlist, arch
+    ):
+        """Why the slotted RR classes bumped the version: their pre-bump
+        pickled state no longer loads.  Should one reach the current
+        path, it is quarantined and recomputed, never raised."""
+        with pytest.raises(AttributeError):
+            pickle.loads(pickle.dumps(_DictStateNode()))
+        path = _disk_cache_path(small_netlist, arch, 3)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle.dumps(_DictStateNode()))
+        from repro.cad import flow as flow_module
+
+        flow_module._FLOW_CACHE.clear()
+        result = run_flow(small_netlist, arch, seed=3)
+        assert result.netlist is small_netlist
+        assert len(list(cache_dir.glob("*.corrupt"))) == 1
+
+    def test_derived_state_is_not_pickled(self, cache_dir, small_netlist, arch):
+        result = run_flow(small_netlist, arch, seed=3)
+        result.derived["probe"] = object()
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.derived == {}
+        assert "probe" in result.derived
 
     def test_cache_off(self, monkeypatch, small_netlist, arch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")

@@ -317,96 +317,6 @@ class TimingAnalyzer:
         seg_ends = np.append(self._seg_starts[1:], elem_delays.size)
         return cum[seg_ends] - cum[self._seg_starts]
 
-    def _delay_matrix_batch(
-        self, fabric: Fabric, t_batch: np.ndarray
-    ) -> np.ndarray:
-        """Delay tables for a temperature batch: ``(n_cells, n_res, n_tiles)``.
-
-        On the canonical unit grid all cells interpolate in one vectorized
-        lerp; each ``[c]`` slice applies the identical arithmetic as
-        :meth:`_delay_matrix` on ``t_batch[c]`` (bit-identical results).
-        """
-        table = self._fabric_delay_table(fabric)
-        if table is None:
-            return np.stack(
-                [self._delay_matrix(fabric, t) for t in t_batch]
-            )
-        t = np.clip(t_batch, T_MIN_CELSIUS, T_MAX_CELSIUS)
-        i0 = t.astype(np.intp)
-        frac = t - i0
-        i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-        # table[:, i0] gathers to (n_res, n_cells, n_tiles); the lerp
-        # broadcasts frac (n_cells, n_tiles) across the resource axis.
-        matrix = table[:, i0] * (1.0 - frac) + table[:, i1] * frac
-        return np.moveaxis(matrix, 1, 0)
-
-    def _segment_delays_batch(self, delay_matrices: np.ndarray) -> np.ndarray:
-        """Per-cell segment delays: ``(n_cells, n_segments)`` in one pass."""
-        n_cells = delay_matrices.shape[0]
-        if self._elem_resource.size == 0:
-            return np.zeros((n_cells, self._seg_starts.size))
-        flat = delay_matrices.reshape(n_cells, -1)
-        elem_delays = flat[:, self._elem_flat]
-        if self._reduceat_ok:
-            return np.add.reduceat(elem_delays, self._seg_starts, axis=1)
-        cum = np.concatenate(
-            [np.zeros((n_cells, 1)), np.cumsum(elem_delays, axis=1)], axis=1
-        )
-        seg_ends = np.append(self._seg_starts[1:], elem_delays.shape[1])
-        return cum[:, seg_ends] - cum[:, self._seg_starts]
-
-    def critical_path_batch(
-        self,
-        fabric: Fabric,
-        t_batch: np.ndarray,
-        delay_scale: Optional[np.ndarray] = None,
-    ) -> List[TimingReport]:
-        """One :class:`TimingReport` per row of a temperature batch.
-
-        ``t_batch`` is ``(n_cells, n_tiles)`` — one per-tile thermal
-        profile per sweep cell sharing this placed netlist.  The
-        temperature-dependent work (delay interpolation, net-segment
-        gather/reduce) is vectorized across the whole batch; only the
-        levelized arrival sweep runs per cell.  Each report matches
-        :meth:`critical_path` on the corresponding row.  ``delay_scale``
-        optionally multiplies the per-cell delay matrices entrywise
-        (shape ``(n_cells, n_resources, n_tiles)``) — the batched
-        counterpart of the single-profile parameter.
-        """
-        t_batch = np.asarray(t_batch, dtype=float)
-        if t_batch.ndim != 2 or t_batch.shape[1] != self.layout.n_tiles:
-            raise ValueError(
-                f"temperature batch shape {t_batch.shape} != "
-                f"(n_cells, {self.layout.n_tiles})"
-            )
-        matrices = self._apply_delay_scale(
-            self._delay_matrix_batch(fabric, t_batch), delay_scale
-        )
-        seg_delays = self._segment_delays_batch(matrices)
-        reports: List[TimingReport] = []
-        for cell in range(t_batch.shape[0]):
-            _, in_pred, endpoints = self._sweep_arrivals(
-                matrices[cell], seg_delays[cell]
-            )
-            if not endpoints:
-                raise ValueError("design has no timing endpoints")
-            best_endpoint = max(endpoints, key=lambda e: endpoints[e])
-            best_cp = endpoints[best_endpoint]
-            if best_cp <= 0.0:
-                raise ValueError(
-                    f"non-positive critical-path delay ({best_cp:g} s) at "
-                    f"endpoint block {best_endpoint}"
-                )
-            reports.append(
-                TimingReport(
-                    critical_path_s=best_cp,
-                    frequency_hz=1.0 / best_cp,
-                    critical_endpoint=best_endpoint,
-                    critical_blocks=self._chain_to(best_endpoint, in_pred),
-                )
-            )
-        return reports
-
     def _resource_delays(
         self, fabric: Fabric, t_tiles: np.ndarray
     ) -> Dict[str, np.ndarray]:
@@ -470,9 +380,9 @@ class TimingAnalyzer:
     ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
         """The levelized arrival sweep over pre-evaluated delays.
 
-        Shared by the single-profile and batched entry points: everything
-        temperature-dependent is already folded into ``delay_matrix`` /
-        ``seg_delays``, so the sweep itself is pure graph traversal.
+        Everything temperature-dependent is already folded into
+        ``delay_matrix`` / ``seg_delays``, so the sweep itself is pure
+        graph traversal.
         """
         seg_delay = seg_delays.tolist()
         lut_d = delay_matrix[_LUT_ROW].tolist()

@@ -579,9 +579,10 @@ def main(argv=None) -> int:
     )
     engine.add_argument(
         "--batch", action="store_true",
-        help="solve same-flow cells (an ambient sweep over one placed "
-             "benchmark) as one joint batched fixed point; per-cell "
-             "records and store/resume semantics are unchanged",
+        help="dispatch same-flow cells (an ambient sweep over one placed "
+             "benchmark) as one work unit that resolves the flow once; "
+             "results, per-cell records and store/resume semantics are "
+             "unchanged",
     )
     engine.add_argument(
         "--thermal-weight", type=float, default=0.0, metavar="W",
@@ -656,8 +657,8 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--no-batch", action="store_true",
-        help="dispatch each cell alone instead of batching same-flow "
-             "cells into joint fixed points",
+        help="dispatch each cell alone instead of grouping same-flow "
+             "cells into one work unit",
     )
     p.add_argument(
         "--trace", type=str, default=None,

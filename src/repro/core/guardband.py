@@ -286,28 +286,6 @@ _result_init.__wrapped__ = _RESULT_KEYWORD_INIT  # type: ignore[attr-defined]
 GuardbandResult.__init__ = _result_init  # type: ignore[method-assign]
 
 
-def _coerce_config(
-    config: Optional[GuardbandConfig], legacy: Dict[str, object]
-) -> GuardbandConfig:
-    """Resolve the ``config=`` value against the deprecated loose kwargs."""
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if not supplied:
-        return config if config is not None else GuardbandConfig()
-    if config is not None:
-        raise TypeError(
-            "pass either config=GuardbandConfig(...) or the legacy "
-            f"{sorted(supplied)} kwargs, not both"
-        )
-    warnings.warn(
-        "thermal_aware_guardband(delta_t=..., max_iterations=..., "
-        "base_activity=..., package=..., warm_start_policy=...) is "
-        "deprecated; pass config=GuardbandConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return GuardbandConfig(**supplied)
-
-
 def _seed_profile(
     warm_start: Optional[np.ndarray], n_tiles: int, t_ambient: float
 ) -> Tuple[np.ndarray, bool]:
@@ -351,11 +329,6 @@ def thermal_aware_guardband(
     config: Optional[GuardbandConfig] = None,
     *,
     warm_start: Optional[np.ndarray] = None,
-    delta_t: Optional[float] = None,
-    max_iterations: Optional[int] = None,
-    package: Optional[ThermalPackage] = None,
-    base_activity: Optional[float] = None,
-    warm_start_policy: Optional[str] = None,
 ) -> GuardbandResult:
     """Run Algorithm 1 on a placed-and-routed design.
 
@@ -365,21 +338,10 @@ def thermal_aware_guardband(
     the converged profile of a neighbouring sweep cell — clamped to at
     least ambient; the fixed point is the same, it is just reached in
     fewer iterations.  ``activity`` defaults to the ACE estimate with
-    ``config.base_activity``.  The loose ``delta_t`` /
-    ``max_iterations`` / ``package`` / ``base_activity`` /
-    ``warm_start_policy`` kwargs are a deprecated spelling of
-    :class:`GuardbandConfig` and will be removed.
+    ``config.base_activity``; every other knob lives on ``config``
+    (default :class:`GuardbandConfig`).
     """
-    config = _coerce_config(
-        config,
-        {
-            "delta_t": delta_t,
-            "max_iterations": max_iterations,
-            "package": package,
-            "base_activity": base_activity,
-            "warm_start_policy": warm_start_policy,
-        },
-    )
+    config = config if config is not None else GuardbandConfig()
     if config.mode == "energy":
         return _energy_guardband(flow, fabric, t_ambient, activity, config, warm_start)
 
@@ -680,9 +642,9 @@ def _energy_guardband(
 
 @dataclass(frozen=True)
 class BatchCell:
-    """One sweep cell of a batched Algorithm 1 run.
+    """One sweep cell of a grouped Algorithm 1 run.
 
-    All cells of a batch share the placed netlist, fabric corner and
+    All cells of a group share the placed netlist, fabric corner and
     :class:`GuardbandConfig`; what varies per cell is the ambient and,
     optionally, a warm-start profile (the converged temperatures of a
     neighbouring cell, re-based onto this ambient by the caller).
@@ -693,30 +655,10 @@ class BatchCell:
 
 
 BatchOutcome = Union[GuardbandResult, "GuardbandError"]
-"""Per-cell outcome of a batched run: the converged result, or — for a
-cell that exhausted the iteration budget — a :class:`GuardbandError`
-carrying its partial diagnostics.  A diverging cell never poisons its
-batch-mates."""
-
-
-def _coerce_cells(
-    cells: Sequence[Union[float, BatchCell]], n_tiles: int
-) -> List[BatchCell]:
-    coerced: List[BatchCell] = []
-    for cell in cells:
-        if not isinstance(cell, BatchCell):
-            cell = BatchCell(t_ambient=float(cell))
-        if cell.warm_start is not None:
-            seed_vec = np.asarray(cell.warm_start, dtype=float)
-            if seed_vec.shape != (n_tiles,):
-                raise ValueError(
-                    f"warm_start must have shape ({n_tiles},) to match the "
-                    f"layout, got {seed_vec.shape}"
-                )
-            if not np.all(np.isfinite(seed_vec)):
-                raise ValueError("warm_start contains non-finite temperatures")
-        coerced.append(cell)
-    return coerced
+"""Per-cell outcome of a grouped run: the converged result, or — for a
+cell whose fixed point diverged or whose energy target does not close —
+the :class:`GuardbandError` carrying its partial diagnostics.  A failing
+cell never affects the other cells of its group."""
 
 
 def thermal_aware_guardband_batch(
@@ -726,446 +668,34 @@ def thermal_aware_guardband_batch(
     config: Optional[GuardbandConfig] = None,
     activity: Optional[ActivityEstimate] = None,
 ) -> List[BatchOutcome]:
-    """Run Algorithm 1 jointly over many cells sharing one placed netlist.
-
-    Every cell of an ambient sweep over the same ``flow`` shares the
-    thermal conductance factorization and the STA delay tables; stacking
-    their temperature/power state into ``(n_cells, n_tiles)`` arrays
-    amortises all of it:
-
-    - one :class:`~repro.thermal.hotspot.ThermalSolver` (one ``splu``
-      factorization) back-substitutes the whole batch as a matrix RHS;
-    - one :class:`~repro.power.model.PowerModel` evaluates dynamic and
-      leakage power across the cell axis;
-    - the STA delay interpolation runs once per iteration for all cells
-      (:meth:`~repro.cad.timing.TimingAnalyzer.critical_path_batch`).
-
-    Cells iterate jointly under an *active mask*: a cell whose
-    ``||dT||_inf`` drops under ``config.delta_t`` converges and leaves
-    the batch (it stops paying for slower batch-mates' iterations only
-    in telemetry — the arrays shrink to the active rows each step), and
-    each converged cell gets its own final re-time at ``T + delta_t``.
-    A cell that exhausts ``config.max_iterations`` yields a
-    :class:`GuardbandError` (with partial history and last temperatures
-    attached) in its slot of the returned list without affecting any
-    other cell.
+    """Run Algorithm 1 on each of many cells sharing one placed netlist.
 
     ``cells`` entries are ambients (floats) or :class:`BatchCell` values
-    (ambient + optional warm-start profile).  Results are returned in
-    input order and agree with the looped single-cell path within the
-    ``delta_t`` compensation margin (DESIGN.md §12); per-iteration
-    ``phase_seconds`` telemetry attributes each batch iteration's phase
-    cost evenly across the cells active in it.
+    (ambient + optional warm-start profile).  Every cell runs through
+    :func:`thermal_aware_guardband`, so each outcome is bit-identical to
+    a single-cell call and emits its own ``guardband.run`` span tree;
+    the cells share the per-flow inputs of :mod:`repro.core.inputs`.
+    Every cell's warm start is validated before any cell runs.
+    Outcomes come back in input order, and a cell that raises
+    :class:`GuardbandError` gets the error in its slot without affecting
+    the other cells (DESIGN.md §12).
     """
-    config = config if config is not None else GuardbandConfig()
-    batch_cells = _coerce_cells(cells, flow.layout.n_tiles)
-    if not batch_cells:
-        return []
-    if config.mode == "energy":
-        return _energy_guardband_batch(flow, fabric, batch_cells, config, activity)
-
-    n_cells = len(batch_cells)
-    n_tiles = flow.layout.n_tiles
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-
-    ambients = np.array([cell.t_ambient for cell in batch_cells], dtype=float)
-    t_tiles = np.empty((n_cells, n_tiles))
-    warm_started = np.zeros(n_cells, dtype=bool)
-    for i, cell in enumerate(batch_cells):
-        if cell.warm_start is not None:
-            # Clamped like the single-cell path: tiles cannot sit below
-            # the junction base temperature at steady state.
-            t_tiles[i] = np.maximum(
-                np.asarray(cell.warm_start, dtype=float), ambients[i]
-            )
-            warm_started[i] = True
-        else:
-            t_tiles[i] = ambients[i]  # line 1, per cell
-
-    active = np.ones(n_cells, dtype=bool)
-    iterations = np.zeros(n_cells, dtype=int)
-    histories: List[List[GuardbandIteration]] = [[] for _ in range(n_cells)]
-
-    run_span = observe.span(
-        "guardband.batch",
-        benchmark=flow.netlist.name,
-        n_cells=n_cells,
-        delta_t=delta_t,
-        max_iterations=max_iterations,
-        n_warm_started=int(warm_started.sum()),
-    )
-    with run_span:
-        inputs = _run_inputs(run_span, flow, fabric, config, activity)
-        power_model, solver = inputs.power_model, inputs.solver
-        for step in range(max_iterations):
-            index = np.flatnonzero(active)
-            if index.size == 0:
-                break
-            iterations[index] += 1
-            it_span = observe.span(
-                "guardband.batch.iteration",
-                index=step + 1,
-                n_active=int(index.size),
-            )
-            with it_span:
-                # Line 4, batched: per-cell STA at the current profiles.
-                with observe.span("guardband.sta") as sta_span:
-                    reports = flow.timing.critical_path_batch(
-                        fabric, t_tiles[index]
-                    )
-                frequencies = np.array(
-                    [report.frequency_hz for report in reports]
-                )
-                # Line 5, batched: dynamic + leakage across the cell axis.
-                with observe.span("guardband.power") as power_span:
-                    power = power_model.evaluate_batch(
-                        frequencies, t_tiles[index]
-                    )
-                # Line 7: one matrix-RHS back-substitution for all cells.
-                with observe.span("guardband.thermal") as thermal_span:
-                    t_new = solver.solve(power.total_w, ambients[index])
-                max_delta = np.max(np.abs(t_new - t_tiles[index]), axis=1)
-                t_tiles[index] = t_new
-                it_span.set_attrs(
-                    max_delta_celsius=float(max_delta.max()),
-                    n_converging=int(np.sum(max_delta <= delta_t)),
-                )
-            phase = observe.phase_seconds(
-                sta=sta_span, power=power_span, thermal=thermal_span
-            )
-            totals = power.total_watts_per_cell()
-            for j, cell_index in enumerate(index):
-                histories[cell_index].append(
-                    GuardbandIteration(
-                        frequency_hz=float(frequencies[j]),
-                        total_power_w=float(totals[j]),
-                        max_tile_celsius=float(t_tiles[cell_index].max()),
-                        mean_tile_celsius=float(t_tiles[cell_index].mean()),
-                        max_delta_celsius=float(max_delta[j]),
-                        phase_seconds=(
-                            {k: v / index.size for k, v in phase.items()}
-                            if phase is not None
-                            else None
-                        ),
-                    )
-                )
-            # Line 8, per cell: converged cells drop out of the batch.
-            active[index[max_delta <= delta_t]] = False
-
-        diverged = active.copy()
-        converged_index = np.flatnonzero(~diverged)
-        run_span.set_attrs(
-            n_converged=int(converged_index.size),
-            n_diverged=int(diverged.sum()),
-            iterations=int(iterations.max(initial=0)),
-        )
-
-        finals: List[TimingReport] = []
-        if converged_index.size:
-            # Line 9, batched: one re-time of every converged cell at its
-            # own converged profile + the delta_t compensation margin.
-            with observe.span(
-                "guardband.batch.final_sta", n_cells=int(converged_index.size)
-            ):
-                finals = flow.timing.critical_path_batch(
-                    fabric, t_tiles[converged_index] + delta_t
-                )
-
-        outcomes: List[BatchOutcome] = []
-        final_iter = iter(finals)
-        for i in range(n_cells):
-            if diverged[i]:
-                observe.counter("guardband.diverged").inc()
-                history = histories[i]
-                last = (
-                    f" (last |dT| = {history[-1].max_delta_celsius:.2f} C)"
-                    if history
-                    else ""
-                )
-                outcomes.append(
-                    GuardbandError(
-                        f"{flow.netlist.name}: temperature did not converge "
-                        f"within {max_iterations} iterations{last}",
-                        history=history,
-                        last_temperatures=t_tiles[i].copy(),
-                        iterations=int(iterations[i]),
-                        t_ambient=float(ambients[i]),
-                    )
-                )
-                continue
-            observe.histogram("guardband.iterations").observe(
-                float(iterations[i])
-            )
-            final = next(final_iter)
+    batch_cells = [
+        cell if isinstance(cell, BatchCell) else BatchCell(float(cell))
+        for cell in cells
+    ]
+    # Raises on a bad warm start before any cell has done work.
+    for cell in batch_cells:
+        _seed_profile(cell.warm_start, flow.layout.n_tiles, cell.t_ambient)
+    outcomes: List[BatchOutcome] = []
+    for cell in batch_cells:
+        try:
             outcomes.append(
-                GuardbandResult(
-                    frequency_hz=final.frequency_hz,
-                    critical_path_s=final.critical_path_s,
-                    tile_temperatures=t_tiles[i].copy(),
-                    iterations=int(iterations[i]),
-                    t_ambient=float(ambients[i]),
-                    delta_t=delta_t,
-                    total_power_w=histories[i][-1].total_power_w,
-                    history=histories[i],
-                    warm_started=bool(warm_started[i]),
+                thermal_aware_guardband(
+                    flow, fabric, cell.t_ambient, activity=activity,
+                    config=config, warm_start=cell.warm_start,
                 )
             )
-    return outcomes
-
-
-def _energy_guardband_batch(
-    flow: FlowResult,
-    fabric: Fabric,
-    batch_cells: List[BatchCell],
-    config: GuardbandConfig,
-    activity: Optional[ActivityEstimate],
-) -> List[BatchOutcome]:
-    """Batched energy objective: joint VDD bisection at iso-frequency.
-
-    Every cell shares the target clock and the ``[VDD_MIN_V, nominal]``
-    bisection window, so the per-cell bisections stay in lockstep: each
-    round jointly converges all live cells' thermal fixed points at their
-    own trial supplies (masked, exactly like the frequency batch), then
-    one batched re-time decides per-cell closure.  The trial sequence per
-    cell is identical to the looped :func:`_energy_guardband`, so the
-    outcomes agree within the compensation margin.  Cells whose target
-    does not close at nominal supply (or whose fixed point diverges
-    there) yield a :class:`GuardbandError` in their slot; a trial that
-    diverges *below* nominal is treated as non-closing for that cell.
-    """
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-    f_target = float(config.target_frequency_hz)  # type: ignore[arg-type]
-    period_s = 1.0 / f_target
-
-    scaling = VoltageScaling()
-    n_cells = len(batch_cells)
-    n_tiles = flow.layout.n_tiles
-
-    ambients = np.array([cell.t_ambient for cell in batch_cells], dtype=float)
-    t_seed = np.empty((n_cells, n_tiles))
-    warm_started = np.zeros(n_cells, dtype=bool)
-    for i, cell in enumerate(batch_cells):
-        t_seed[i], warm_started[i] = _seed_profile(
-            cell.warm_start, n_tiles, float(ambients[i])
-        )
-
-    iterations = np.zeros(n_cells, dtype=int)
-    histories: List[List[GuardbandIteration]] = [[] for _ in range(n_cells)]
-    errors: Dict[int, GuardbandError] = {}
-
-    def converge(
-        live: np.ndarray, vdds: np.ndarray, t_start: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Jointly converge the live cells at per-cell trial supplies.
-
-        Returns ``(t_conv, per-cell total power, diverged-row mask)``,
-        all indexed like ``live``.
-        """
-        t_tiles = t_start.copy()
-        totals = np.zeros(live.size)
-        active = np.ones(live.size, dtype=bool)
-        for step in range(max_iterations):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            iterations[live[idx]] += 1
-            it_span = observe.span(
-                "guardband.batch.iteration",
-                index=step + 1,
-                n_active=int(idx.size),
-            )
-            with it_span:
-                with observe.span("guardband.sta") as sta_span:
-                    reports = flow.timing.critical_path_batch(
-                        fabric,
-                        t_tiles[idx],
-                        delay_scale=resource_delay_scale(
-                            scaling.delay_scale_cells(vdds[idx], t_tiles[idx])
-                        ),
-                    )
-                with observe.span("guardband.power") as power_span:
-                    power = power_model.evaluate_at_voltage_batch(
-                        np.full(idx.size, f_target),
-                        t_tiles[idx],
-                        scaling,
-                        vdds[idx],
-                    )
-                with observe.span("guardband.thermal") as thermal_span:
-                    t_new = solver.solve(power.total_w, ambients[live[idx]])
-                max_delta = np.max(np.abs(t_new - t_tiles[idx]), axis=1)
-                t_tiles[idx] = t_new
-                per_cell = power.total_watts_per_cell()
-                totals[idx] = per_cell
-                it_span.set_attrs(
-                    max_delta_celsius=float(max_delta.max()),
-                    n_converging=int(np.sum(max_delta <= delta_t)),
-                )
-            phase = observe.phase_seconds(
-                sta=sta_span, power=power_span, thermal=thermal_span
-            )
-            for j, row in enumerate(idx):
-                histories[int(live[row])].append(
-                    GuardbandIteration(
-                        frequency_hz=float(reports[j].frequency_hz),
-                        total_power_w=float(per_cell[j]),
-                        max_tile_celsius=float(t_tiles[row].max()),
-                        mean_tile_celsius=float(t_tiles[row].mean()),
-                        max_delta_celsius=float(max_delta[j]),
-                        phase_seconds=(
-                            {k: v / idx.size for k, v in phase.items()}
-                            if phase is not None
-                            else None
-                        ),
-                    )
-                )
-            active[idx[max_delta <= delta_t]] = False
-        return t_tiles, totals, active
-
-    def retime(vdds: np.ndarray, t_conv: np.ndarray) -> List[TimingReport]:
-        """Batched line 9: closure check with the compensation margin."""
-        with observe.span(
-            "guardband.batch.final_sta", n_cells=int(len(vdds))
-        ):
-            return flow.timing.critical_path_batch(
-                fabric,
-                t_conv + delta_t,
-                delay_scale=resource_delay_scale(
-                    scaling.delay_scale_cells(vdds, t_conv + delta_t)
-                ),
-            )
-
-    run_span = observe.span(
-        "guardband.batch",
-        benchmark=flow.netlist.name,
-        mode="energy",
-        target_frequency_hz=f_target,
-        n_cells=n_cells,
-        delta_t=delta_t,
-        max_iterations=max_iterations,
-        n_warm_started=int(warm_started.sum()),
-    )
-    with run_span:
-        inputs = _run_inputs(run_span, flow, fabric, config, activity)
-        power_model, solver = inputs.power_model, inputs.solver
-        live = np.arange(n_cells)
-        v_nominal = scaling.vdd_nominal
-        # Trial 0: feasibility at nominal supply, doubling as the
-        # per-cell savings baseline.
-        t_conv, totals, div = converge(
-            live, np.full(n_cells, v_nominal), t_seed
-        )
-        for row in np.flatnonzero(div):
-            i = int(live[row])
-            observe.counter("guardband.diverged").inc()
-            errors[i] = GuardbandError(
-                f"{flow.netlist.name}: temperature did not converge within "
-                f"{max_iterations} iterations at VDD={v_nominal:.3f} V",
-                history=histories[i],
-                last_temperatures=t_conv[row].copy(),
-                iterations=int(iterations[i]),
-                t_ambient=float(ambients[i]),
-            )
-        keep = np.flatnonzero(~div)
-        live, t_conv, totals = live[keep], t_conv[keep], totals[keep]
-        finals: List[TimingReport] = (
-            retime(np.full(live.size, v_nominal), t_conv) if live.size else []
-        )
-        closes = np.array(
-            [f.frequency_hz >= f_target for f in finals], dtype=bool
-        )
-        for row in np.flatnonzero(~closes):
-            i = int(live[row])
-            observe.counter("guardband.energy.infeasible").inc()
-            errors[i] = GuardbandError(
-                f"{flow.netlist.name}: target frequency "
-                f"{f_target / 1e6:.2f} MHz does not close at nominal VDD "
-                f"{v_nominal:.3f} V and Tamb={ambients[i]:g} C "
-                f"(guardbanded maximum is "
-                f"{finals[row].frequency_hz / 1e6:.2f} MHz); lower the "
-                "target",
-                history=histories[i],
-                last_temperatures=t_conv[row].copy(),
-                iterations=int(iterations[i]),
-                t_ambient=float(ambients[i]),
-            )
-        keep = np.flatnonzero(closes)
-        live = live[keep]
-        nominal_power = totals[keep].copy()
-        best_t = t_conv[keep].copy()
-        best_power = totals[keep].copy()
-        best_final: List[TimingReport] = [finals[int(row)] for row in keep]
-        best_vdd = np.full(live.size, v_nominal)
-        v_lo = np.full(live.size, VDD_MIN_V)
-        v_hi = np.full(live.size, v_nominal)
-
-        # All windows start identical and halve together, so every cell
-        # resolves in the same number of rounds (lockstep bisection).
-        while live.size and float(np.max(v_hi - v_lo)) > VDD_TOLERANCE_V:
-            v_mid = 0.5 * (v_lo + v_hi)
-            t_mid, totals_mid, div = converge(live, v_mid, best_t)
-            closes = np.zeros(live.size, dtype=bool)
-            conv_rows = np.flatnonzero(~div)
-            finals_mid: Dict[int, TimingReport] = {}
-            if conv_rows.size:
-                for row, report in zip(
-                    conv_rows, retime(v_mid[conv_rows], t_mid[conv_rows])
-                ):
-                    finals_mid[int(row)] = report
-                    closes[row] = report.frequency_hz >= f_target
-            for row in range(live.size):
-                if closes[row]:
-                    v_hi[row] = v_mid[row]
-                    best_vdd[row] = v_mid[row]
-                    best_t[row] = t_mid[row]
-                    best_power[row] = totals_mid[row]
-                    best_final[row] = finals_mid[row]
-                else:
-                    # Diverged or failed closure: the answer is above.
-                    v_lo[row] = v_mid[row]
-
-        run_span.set_attrs(
-            n_converged=int(live.size),
-            n_diverged=int(len(errors)),
-            iterations=int(iterations.max(initial=0)),
-        )
-
-        outcomes: List[BatchOutcome] = []
-        live_row = {int(cell): row for row, cell in enumerate(live)}
-        for i in range(n_cells):
-            if i in errors:
-                outcomes.append(errors[i])
-                continue
-            row = live_row[i]
-            observe.histogram("guardband.iterations").observe(
-                float(iterations[i])
-            )
-            saving = 1.0 - float(best_power[row]) / float(nominal_power[row])
-            energy = EnergyReport(
-                vdd_v=float(best_vdd[row]),
-                vdd_nominal_v=v_nominal,
-                target_frequency_hz=f_target,
-                total_power_w=float(best_power[row]),
-                nominal_power_w=float(nominal_power[row]),
-                power_saving_fraction=saving,
-                energy_per_cycle_j=float(best_power[row]) * period_s,
-                nominal_energy_per_cycle_j=float(nominal_power[row]) * period_s,
-            )
-            outcomes.append(
-                GuardbandResult(
-                    frequency_hz=f_target,
-                    critical_path_s=best_final[row].critical_path_s,
-                    tile_temperatures=best_t[row].copy(),
-                    iterations=int(iterations[i]),
-                    t_ambient=float(ambients[i]),
-                    delta_t=delta_t,
-                    total_power_w=float(best_power[row]),
-                    history=histories[i],
-                    warm_started=bool(warm_started[i]),
-                    mode="energy",
-                    vdd_v=float(best_vdd[row]),
-                    energy=energy,
-                )
-            )
+        except GuardbandError as error:
+            outcomes.append(error)
     return outcomes

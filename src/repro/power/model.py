@@ -69,12 +69,10 @@ def tile_inventory(arch: ArchParams, tile_type: TileType) -> Dict[str, float]:
 class PowerBreakdown:
     """Per-tile power split at one operating point.
 
-    ``dynamic_w``/``leakage_w`` are ``(n_tiles,)`` vectors for one
-    operating point, or ``(n_cells, n_tiles)`` arrays for a batched
-    evaluation (one row per cell).  The derived totals are computed once
-    per breakdown and cached — Algorithm 1's hot loop reads them several
-    times per iteration, and the inputs are never mutated after
-    :meth:`PowerModel.evaluate` returns.
+    ``dynamic_w``/``leakage_w`` are ``(n_tiles,)`` vectors.  The derived
+    totals are computed once per breakdown and cached — Algorithm 1's
+    hot loop reads them several times per iteration, and the inputs are
+    never mutated after :meth:`PowerModel.evaluate` returns.
     """
 
     dynamic_w: np.ndarray
@@ -94,16 +92,10 @@ class PowerBreakdown:
 
     @property
     def total_watts(self) -> float:
-        """Whole-die total, watts (summed over every axis)."""
+        """Whole-die total, watts."""
         if self._total_watts is None:
             self._total_watts = float(self.total_w.sum())
         return self._total_watts
-
-    def total_watts_per_cell(self) -> np.ndarray:
-        """Per-cell totals of a batched ``(n_cells, n_tiles)`` breakdown."""
-        if self.total_w.ndim != 2:
-            raise ValueError("per-cell totals need a batched breakdown")
-        return self.total_w.sum(axis=1)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -236,23 +228,6 @@ class PowerModel:
             raise ValueError(f"negative frequency: {frequency_hz}")
         return (self._pdyn_base * frequency_hz) @ self._alpha_matrix
 
-    def dynamic_power_batch(self, frequencies_hz: np.ndarray) -> np.ndarray:
-        """Per-tile dynamic power for a vector of clocks: ``(n_cells, n_tiles)``.
-
-        Row ``c`` equals ``dynamic_power(frequencies_hz[c])`` up to BLAS
-        summation order — the whole batch is one matrix product.
-        """
-        frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-        if frequencies_hz.ndim != 1:
-            raise ValueError(
-                f"frequencies must be a 1-D vector, got shape "
-                f"{frequencies_hz.shape}"
-            )
-        if np.any(frequencies_hz < 0.0):
-            raise ValueError("negative frequency in batch")
-        scaled = frequencies_hz[:, None] * self._pdyn_base[None, :]
-        return scaled @ self._alpha_matrix
-
     def dynamic_power_reference(self, frequency_hz: float) -> np.ndarray:
         """Seed per-resource-loop dynamic power (see repro.core.reference)."""
         if frequency_hz < 0.0:
@@ -277,17 +252,21 @@ class PowerModel:
             )
         return t_tiles
 
+    @staticmethod
+    def _leak_lerp(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Gathered per-tile lerp of a ``(n_tiles, n_grid)`` leakage table."""
+        t = np.clip(t, T_MIN_CELSIUS, T_MAX_CELSIUS)
+        i0 = t.astype(np.intp)
+        frac = t - i0
+        i1 = np.minimum(i0 + 1, table.shape[1] - 1)
+        rows = np.arange(table.shape[0])
+        return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
+
     def leakage_power(self, t_tiles: np.ndarray) -> np.ndarray:
         """Per-tile leakage power for a per-tile temperature vector, watts."""
         t_tiles = self._check_temps(t_tiles)
         if self._leak_table is not None:
-            table = self._leak_table
-            t = np.clip(t_tiles, T_MIN_CELSIUS, T_MAX_CELSIUS)
-            i0 = t.astype(np.intp)
-            frac = t - i0
-            i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-            rows = np.arange(self.n_tiles)
-            return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
+            return self._leak_lerp(self._leak_table, t_tiles)
         if not self._leaky_rows:
             return np.zeros(self.n_tiles)
         leaks = np.stack(
@@ -297,28 +276,6 @@ class PowerModel:
             ]
         )
         return np.einsum("rt,rt->t", self._counts[self._leaky_rows], leaks)
-
-    def leakage_power_batch(self, t_batch: np.ndarray) -> np.ndarray:
-        """Per-tile leakage for an ``(n_cells, n_tiles)`` temperature batch.
-
-        One gathered linear interpolation over all cells on the canonical
-        grid; row ``c`` is bit-identical to ``leakage_power(t_batch[c])``.
-        """
-        t_batch = np.asarray(t_batch, dtype=float)
-        if t_batch.ndim != 2 or t_batch.shape[1] != self.n_tiles:
-            raise ValueError(
-                f"temperature batch shape {t_batch.shape} != "
-                f"(n_cells, {self.n_tiles})"
-            )
-        if self._leak_table is not None:
-            table = self._leak_table
-            t = np.clip(t_batch, T_MIN_CELSIUS, T_MAX_CELSIUS)
-            i0 = t.astype(np.intp)
-            frac = t - i0
-            i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-            rows = np.arange(self.n_tiles)
-            return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
-        return np.stack([self.leakage_power(t) for t in t_batch])
 
     def leakage_power_reference(self, t_tiles: np.ndarray) -> np.ndarray:
         """Seed per-resource-loop leakage power (see repro.core.reference)."""
@@ -340,42 +297,7 @@ class PowerModel:
             leakage_w=self.leakage_power(t_tiles),
         )
 
-    def evaluate_batch(
-        self, frequencies_hz: np.ndarray, t_batch: np.ndarray
-    ) -> PowerBreakdown:
-        """Batched Algorithm 1 line 5: one breakdown row per sweep cell.
-
-        ``frequencies_hz`` is ``(n_cells,)`` and ``t_batch`` is
-        ``(n_cells, n_tiles)``; the returned breakdown holds
-        ``(n_cells, n_tiles)`` arrays.
-        """
-        frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-        t_batch = np.asarray(t_batch, dtype=float)
-        if frequencies_hz.shape != (t_batch.shape[0],):
-            raise ValueError(
-                f"frequency vector shape {frequencies_hz.shape} does not "
-                f"match the {t_batch.shape[0]}-row temperature batch"
-            )
-        return PowerBreakdown(
-            dynamic_w=self.dynamic_power_batch(frequencies_hz),
-            leakage_w=self.leakage_power_batch(t_batch),
-        )
-
     # -- voltage-scaled evaluation (energy-mode objective) -------------------
-
-    @staticmethod
-    def _leak_lerp(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Gathered per-tile lerp of a ``(n_tiles, n_grid)`` leakage table.
-
-        ``t`` is ``(n_tiles,)`` or ``(n_cells, n_tiles)``; the tile axis
-        of ``t`` indexes the table rows either way.
-        """
-        t = np.clip(t, T_MIN_CELSIUS, T_MAX_CELSIUS)
-        i0 = t.astype(np.intp)
-        frac = t - i0
-        i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-        rows = np.arange(table.shape[0])
-        return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
 
     def leakage_power_scaled(
         self, t_tiles: np.ndarray, scale_tiles: np.ndarray
@@ -384,8 +306,7 @@ class PowerModel:
 
         ``scale_tiles`` multiplies only the scaled-rail inventory; the
         BRAM rail contributes unscaled.  ``scale_tiles == 1`` reproduces
-        :meth:`leakage_power` up to summation order.  Accepts batched
-        ``(n_cells, n_tiles)`` inputs symmetrically.
+        :meth:`leakage_power` up to summation order.
         """
         t = np.asarray(t_tiles, dtype=float)
         scale_tiles = np.asarray(scale_tiles, dtype=float)
@@ -394,13 +315,6 @@ class PowerModel:
             return (
                 self._leak_lerp(scaled_table, t) * scale_tiles
                 + self._leak_lerp(fixed_table, t)
-            )
-        if t.ndim == 2:
-            return np.stack(
-                [
-                    self.leakage_power_scaled(row, scale)
-                    for row, scale in zip(t, scale_tiles)
-                ]
             )
         out = np.zeros(self.n_tiles)
         for i, name in enumerate(RESOURCES):
@@ -435,40 +349,5 @@ class PowerModel:
         dynamic = (self._pdyn_base * frequency_hz * res_scale) @ self._alpha_matrix
         leakage = self.leakage_power_scaled(
             t_tiles, scaling.leakage_scale_tiles(vdd, t_tiles)
-        )
-        return PowerBreakdown(dynamic_w=dynamic, leakage_w=leakage)
-
-    def evaluate_at_voltage_batch(
-        self,
-        frequencies_hz: np.ndarray,
-        t_batch: np.ndarray,
-        scaling: VoltageScaling,
-        vdds: np.ndarray,
-    ) -> PowerBreakdown:
-        """Batched :meth:`evaluate_at_voltage` with per-cell supplies."""
-        frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-        t_batch = np.asarray(t_batch, dtype=float)
-        vdds = np.asarray(vdds, dtype=float)
-        if frequencies_hz.shape != (t_batch.shape[0],):
-            raise ValueError(
-                f"frequency vector shape {frequencies_hz.shape} does not "
-                f"match the {t_batch.shape[0]}-row temperature batch"
-            )
-        if vdds.shape != (t_batch.shape[0],):
-            raise ValueError(
-                f"supply vector shape {vdds.shape} does not match the "
-                f"{t_batch.shape[0]}-row temperature batch"
-            )
-        if np.any(frequencies_hz < 0.0):
-            raise ValueError("negative frequency in batch")
-        dyn_scales = np.array([scaling.dynamic_scale(v) for v in vdds])
-        res_scale = np.where(
-            _FIXED_RAIL_MASK[None, :], 1.0, dyn_scales[:, None]
-        )
-        dynamic = (
-            frequencies_hz[:, None] * self._pdyn_base[None, :] * res_scale
-        ) @ self._alpha_matrix
-        leakage = self.leakage_power_scaled(
-            t_batch, scaling.leakage_scale_cells(vdds, t_batch)
         )
         return PowerBreakdown(dynamic_w=dynamic, leakage_w=leakage)

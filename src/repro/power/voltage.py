@@ -34,7 +34,7 @@ contributions therefore stay unscaled (see ``FIXED_RAIL_RESOURCES``).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -68,9 +68,8 @@ _SCALED_SEL = np.array(
 def resource_delay_scale(tile_scale: np.ndarray) -> np.ndarray:
     """Expand per-tile delay scales to the STA's per-resource layout.
 
-    ``tile_scale`` is ``(n_tiles,)`` (or ``(n_cells, n_tiles)`` for a
-    batch); the result gains a resource axis —
-    ``(..., n_resources, n_tiles)`` in ``RESOURCE_NAMES`` order — with
+    ``tile_scale`` is ``(n_tiles,)``; the result gains a resource axis —
+    ``(n_resources, n_tiles)`` in ``RESOURCE_NAMES`` order — with
     fixed-rail rows pinned at exactly 1.0, ready for the ``delay_scale``
     parameter of :meth:`repro.cad.timing.TimingAnalyzer.critical_path`.
     """
@@ -169,38 +168,6 @@ class VoltageScaling:
     ) -> np.ndarray:
         """Per-tile leakage-power multipliers at the tiles' temperatures."""
         return _lerp_grid(self.leakage_scale_table(vdd), np.asarray(t_tiles))
-
-    def delay_scale_cells(
-        self, vdds: np.ndarray, t_batch: np.ndarray
-    ) -> np.ndarray:
-        """``(n_cells, n_tiles)`` delay multipliers for per-cell supplies."""
-        return self._cells(self.delay_scale_table, vdds, t_batch)
-
-    def leakage_scale_cells(
-        self, vdds: np.ndarray, t_batch: np.ndarray
-    ) -> np.ndarray:
-        """``(n_cells, n_tiles)`` leakage multipliers for per-cell supplies."""
-        return self._cells(self.leakage_scale_table, vdds, t_batch)
-
-    def _cells(
-        self,
-        table_of: Callable[[float], np.ndarray],
-        vdds: np.ndarray,
-        t_batch: np.ndarray,
-    ) -> np.ndarray:
-        t_batch = np.asarray(t_batch, dtype=float)
-        vdds = np.asarray(vdds, dtype=float)
-        if t_batch.ndim != 2 or vdds.shape != (t_batch.shape[0],):
-            raise ValueError(
-                f"per-cell supplies {vdds.shape} do not match the "
-                f"{t_batch.shape} temperature batch"
-            )
-        return np.stack(
-            [
-                _lerp_grid(table_of(float(vdd)), t_batch[c])
-                for c, vdd in enumerate(vdds)
-            ]
-        )
 
     def scale_summary(self, vdd: float) -> Tuple[float, float, float]:
         """(delay, dynamic, leakage) multipliers at 25 C — for reporting."""

@@ -286,8 +286,8 @@ def _batch_key(job: SweepJob) -> Tuple[object, ...]:
     """Everything a batch must share: one flow, one fabric, one config.
 
     Jobs agreeing on this key resolve to the same flow cache key (the
-    netlist/arch/seed triple determines it) and differ only in ambient —
-    exactly the axis :func:`thermal_aware_guardband_batch` vectorizes.
+    netlist/arch/seed triple determines it) and differ only in ambient,
+    so one flow, fabric and worst-case baseline serve the whole group.
     """
     return (
         job.benchmark,
@@ -301,7 +301,7 @@ def _batch_key(job: SweepJob) -> Tuple[object, ...]:
 
 
 def _batch_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
-    """Group same-flow jobs into batched work units, grid order preserved.
+    """Group same-flow jobs into work units, grid order preserved.
 
     Each unit is dispatched (and retried, and timed out) as one work
     item; its cells still record individually — one JSONL line, one
@@ -321,15 +321,18 @@ def _batch_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
 def _execute_batch(
     jobs: List[SweepJob], store: Optional[str] = None
 ) -> List[Union[JobResult, JobFailure]]:
-    """Run one batched unit of same-flow cells end-to-end.
+    """Run one grouped unit of same-flow cells end-to-end.
 
     The placed netlist, fabric and worst-case baseline are resolved
     once; cells already persisted in the result store are served as
-    per-cell hits, and only the remainder enters the joint fixed point.
-    Per-cell semantics match :func:`_execute_job`: one
-    :class:`JobResult` (or, for a diverged cell, :class:`JobFailure`)
-    per input job, in input order, each with its own store write.  Wall
-    clock is attributed evenly across the unit's cells.
+    per-cell hits, and only the remainder runs Algorithm 1, one cell
+    after another (:func:`~repro.core.guardband.thermal_aware_guardband_batch`),
+    each under its own ``guardband.run`` span inside the unit's
+    ``sweep.batch`` span.  Per-cell semantics match :func:`_execute_job`:
+    one :class:`JobResult` (or, for a diverged cell, :class:`JobFailure`)
+    per input job, in input order, each with its own store write and its
+    own measured ``phase_seconds``.  Wall clock is attributed evenly
+    across the unit's cells.
     """
     start = monotonic()
     result_store = ResultStore(store) if store is not None else None
@@ -466,7 +469,7 @@ def _execute_batch(
 def _execute_unit(
     unit: List[SweepJob], store: Optional[str] = None
 ) -> List[Union[JobResult, JobFailure]]:
-    """Run one work unit: a single cell, or a batched same-flow group."""
+    """Run one work unit: a single cell, or a grouped same-flow unit."""
     if len(unit) == 1:
         return [_execute_job(unit[0], store=store)]
     return _execute_batch(unit, store=store)
@@ -615,14 +618,14 @@ def run_sweep(
 
     ``batch=True`` groups cells sharing one placed flow (same benchmark,
     arch, seed and fabric corner under one config — an ambient sweep)
-    into single batched work items solved as one joint fixed point
-    (:func:`~repro.core.guardband.thermal_aware_guardband_batch`): the
-    thermal factorization, STA delay tables and power model are built
-    once per group instead of once per cell.  Per-cell records, store
-    writes, ``sweep.cell`` spans and resume semantics are unchanged;
-    frequencies agree with the looped path within the ``delta_t``
-    compensation margin (DESIGN.md §12), and retries/``job_timeout``
-    apply per work item (i.e. per batch group when batching).
+    into single work items: the flow, fabric and worst-case baseline are
+    resolved once per group, and each cell then runs the same per-cell
+    Algorithm 1 as an ungrouped sweep
+    (:func:`~repro.core.guardband.thermal_aware_guardband_batch`), so
+    results are bit-identical either way (DESIGN.md §12).  Per-cell
+    records, store writes, ``sweep.cell`` spans and resume semantics are
+    unchanged; retries/``job_timeout`` apply per work item (i.e. per
+    group when grouping).
     """
     jobs = spec.expand() if isinstance(spec, ExperimentSpec) else list(spec)
     grid_order = {job.job_id: i for i, job in enumerate(jobs)}

@@ -21,7 +21,7 @@ identity directly), which is what makes scheduling decisions cheap:
   submitting overlapping grids concurrently compute each overlapping
   cell exactly once.
 - **pool dispatch** — remaining cells are grouped into same-flow units
-  (:func:`repro.runner.engine._batch_units`, PR 6's batch grouping) and
+  (:func:`repro.runner.engine._batch_units`) and
   executed on a ``ProcessPoolExecutor`` via the engine's own
   :func:`~repro.runner.engine._run_unit_in_worker`, so worker-side
   numerics, store writes and trace re-parenting are exactly the sweep
@@ -168,7 +168,10 @@ class SweepScheduler:
     Construct on (or bind to — see :meth:`start`) the serving event
     loop.  ``store`` must be directory-backed: pool workers open their
     own handle onto the shared root, exactly as the sweep engine's
-    workers do.
+    workers do.  ``batch=True`` dispatches same-flow cells as one work
+    unit (the flow is resolved once per unit; each cell still runs its
+    own Algorithm 1, DESIGN.md §12); ``False`` dispatches every cell
+    alone.
     """
 
     def __init__(

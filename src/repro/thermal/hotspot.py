@@ -70,73 +70,29 @@ class ThermalSolver:
     def _check_power(self, power_w) -> np.ndarray:
         power_w = np.asarray(power_w, dtype=float)
         n = self.layout.n_tiles
-        if power_w.ndim == 2:
-            # Batched form: one power vector per row (cell).  The stored
-            # LU factor back-substitutes a matrix RHS directly, so the
-            # solver accepts the (n_cells, n_tiles) layout natively.
-            if power_w.shape[1] != n:
-                raise ValueError(
-                    f"batched power shape {power_w.shape} != (n_cells, {n})"
-                )
-            bad_rows = np.flatnonzero(np.any(power_w < 0.0, axis=1))
-            if bad_rows.size:
-                raise ValueError(
-                    f"negative tile power in batch rows {bad_rows.tolist()}"
-                )
-            return power_w
         if power_w.shape != (n,):
             raise ValueError(
-                f"power vector shape {power_w.shape} != ({n},)"
+                f"power vector shape {power_w.shape} != ({n},); the solver "
+                "takes a single per-tile power vector"
             )
         if np.any(power_w < 0.0):
             raise ValueError("negative tile power")
         return power_w
 
-    def _check_ambient(self, t_ambient, n_cells: int) -> np.ndarray:
-        """Per-row ambient vector for a batched solve (scalar broadcasts)."""
-        amb = np.asarray(t_ambient, dtype=float)
-        if amb.ndim == 0:
-            return np.full(n_cells, float(amb))
-        if amb.shape != (n_cells,):
-            raise ValueError(
-                f"ambient shape {amb.shape} does not match the "
-                f"{n_cells}-row power batch"
-            )
-        return amb
-
-    def solve(self, power_w: np.ndarray, t_ambient) -> np.ndarray:
-        """Steady-state tile temperatures (Celsius) for a power vector (W).
-
-        ``power_w`` is either one ``(n_tiles,)`` vector or a batched
-        ``(n_cells, n_tiles)`` array — the pre-computed LU factor
-        back-substitutes all cells in one matrix solve, with each output
-        row the exact solution of that row's system.  For the batched
-        form ``t_ambient`` may be a scalar (shared) or an ``(n_cells,)``
-        vector (one ambient per cell).
-        """
+    def solve(self, power_w: np.ndarray, t_ambient: float) -> np.ndarray:
+        """Steady-state tile temperatures (Celsius) for a power vector (W)."""
         observe.counter("thermal.solves").inc()
         power_w = self._check_power(power_w)
-        g_vert = self.package.g_vertical_w_per_k
-        if power_w.ndim == 2:
-            amb = self._check_ambient(t_ambient, power_w.shape[0])
-            rhs = power_w + g_vert * amb[:, None]
-            # splu solves column-major RHS batches: (n_tiles, n_cells).
-            return np.asarray(self._factor.solve(rhs.T)).T
-        rhs = power_w + g_vert * float(t_ambient)
+        rhs = power_w + self.package.g_vertical_w_per_k * float(t_ambient)
         return np.asarray(self._factor.solve(rhs))
 
     def solve_unfactored(self, power_w: np.ndarray, t_ambient: float) -> np.ndarray:
         """Seed reference path: full ``spsolve`` from scratch every call.
 
         Kept for the equivalence tests and the hot-loop benchmark's
-        baseline (see :mod:`repro.core.reference`).  Single-vector only —
-        the batched layout exists for the factored fast path.
+        baseline (see :mod:`repro.core.reference`).
         """
         power_w = self._check_power(power_w)
-        if power_w.ndim != 1:
-            raise ValueError(
-                "solve_unfactored handles a single (n_tiles,) power vector"
-            )
         rhs = power_w + self.package.g_vertical_w_per_k * t_ambient
         return np.asarray(spsolve(self._conductance, rhs))
 

@@ -21,7 +21,7 @@ from repro.core.guardband import (
     thermal_aware_guardband_batch,
 )
 from repro.core.margins import worst_case_frequency
-from repro.power.voltage import VDD_MIN_V, VDD_TOLERANCE_V, VoltageScaling
+from repro.power.voltage import VDD_MIN_V, VoltageScaling
 from repro.runner.results import JobResult, outcome_from_record
 from repro.runner.spec import ExperimentSpec
 from repro.service.wire import WireError, from_wire, to_wire
@@ -193,15 +193,24 @@ class TestEnergyMode:
             tiny_flow, fabric25, ambients, config=energy_config
         )
         for one, many in zip(looped, batched):
+            # Both run the same per-cell bisection: bit-identical.
             assert isinstance(many, GuardbandResult)
             assert many.mode == "energy"
-            # Both paths bisect the same window to the same tolerance;
-            # the batched fixed point may settle a fraction of a degree
-            # away, so closing supplies agree to within one step.
-            assert abs(one.vdd_v - many.vdd_v) <= VDD_TOLERANCE_V
-            assert one.energy.power_saving_fraction == pytest.approx(
-                many.energy.power_saving_fraction, abs=0.02
+            assert many.frequency_hz == one.frequency_hz
+            assert many.vdd_v == one.vdd_v
+            assert many.iterations == one.iterations
+            assert (
+                many.tile_temperatures.tobytes()
+                == one.tile_temperatures.tobytes()
             )
+            assert [
+                (it.frequency_hz, it.total_power_w, it.max_delta_celsius)
+                for it in many.history
+            ] == [
+                (it.frequency_hz, it.total_power_w, it.max_delta_celsius)
+                for it in one.history
+            ]
+            assert many.energy == one.energy
 
 
 # --- persistence: wire envelopes, store digests, JSONL records ----------

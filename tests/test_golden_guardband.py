@@ -4,8 +4,8 @@
 of ``frequency_hz``, ``vdd_v`` and ``total_power_w``, the iteration
 count and a SHA-256 of the converged ``tile_temperatures`` bytes.  The
 cells cover three Table I designs at two ambients and two design
-corners, in frequency and energy mode, through both the looped kernel
-(:func:`thermal_aware_guardband`) and the batched one
+corners, in frequency and energy mode, through both the single-cell
+entry point (:func:`thermal_aware_guardband`) and the grouped one
 (:func:`thermal_aware_guardband_batch`).  The energy target is 95 % of
 the design's slower worst-case clock over the two corners, so every
 cell closes at nominal supply.

@@ -1,10 +1,10 @@
-"""Equivalence tests for batched Algorithm 1 and the batched sweep engine.
+"""Tests for grouped Algorithm 1 runs and the grouped sweep engine.
 
-The batched kernel (:func:`thermal_aware_guardband_batch`) must agree
-with the looped single-cell path within the ``delta_t`` compensation
-margin (DESIGN.md §12), isolate diverging cells from their batch-mates,
-and preserve the engine's per-cell record/store/resume semantics when
-enabled through ``run_sweep(batch=True)``.
+:func:`thermal_aware_guardband_batch` runs every cell through
+:func:`thermal_aware_guardband`, so each outcome must be bit-identical
+to a single-cell call (DESIGN.md §12).  A diverging cell must not
+affect the other cells of its group, and ``run_sweep(batch=True)`` must
+keep the engine's per-cell record/store/resume semantics.
 """
 
 from __future__ import annotations
@@ -50,36 +50,39 @@ def looped(tiny_flow, fabric25):
     }
 
 
-def _margin(reference: GuardbandResult) -> float:
-    """The delta_t compensation margin: the frequency step the final
-    re-time at ``T + delta_t`` absorbs (same tolerance the warm-start
-    equivalence uses, DESIGN.md §11)."""
-    return abs(reference.history[-1].frequency_hz - reference.frequency_hz)
+def _trajectory(result: GuardbandResult) -> list:
+    """Per-iteration telemetry without the wall-clock phase timings."""
+    return [
+        (it.frequency_hz, it.total_power_w, it.max_tile_celsius,
+         it.mean_tile_celsius, it.max_delta_celsius)
+        for it in result.history
+    ]
+
+
+def _assert_same_run(got: object, want: GuardbandResult) -> None:
+    """Bit-identical outcome, temperature bytes and history included."""
+    assert isinstance(got, GuardbandResult)
+    assert got.t_ambient == want.t_ambient
+    assert got.frequency_hz == want.frequency_hz
+    assert got.vdd_v == want.vdd_v
+    assert got.iterations == want.iterations
+    assert got.warm_started == want.warm_started
+    assert got.tile_temperatures.tobytes() == want.tile_temperatures.tobytes()
+    assert _trajectory(got) == _trajectory(want)
 
 
 class TestBatchEquivalence:
     def test_matches_looped_within_margin(self, tiny_flow, fabric25, looped):
+        """Stricter than the margin: every cell equals its looped run."""
         outcomes = thermal_aware_guardband_batch(
             tiny_flow, fabric25, list(AMBIENTS)
         )
         assert len(outcomes) == len(AMBIENTS)
         for t_ambient, outcome in zip(AMBIENTS, outcomes):
-            reference = looped[t_ambient]
-            assert isinstance(outcome, GuardbandResult)
-            assert outcome.t_ambient == t_ambient
-            drift = abs(outcome.frequency_hz - reference.frequency_hz)
-            assert drift <= max(_margin(reference), 1e-9)
-            # The joint iteration takes the same trajectory per cell.
-            assert outcome.iterations == reference.iterations
-            np.testing.assert_allclose(
-                outcome.tile_temperatures,
-                reference.tile_temperatures,
-                atol=reference.delta_t,
-            )
+            _assert_same_run(outcome, looped[t_ambient])
 
     def test_randomized_ambients_and_activity(self, tiny_flow, fabric25):
-        """Satellite 5: randomized operating points under a non-default
-        activity still agree with the looped path per cell."""
+        """Randomized operating points under a non-default activity."""
         rng = np.random.default_rng(17)
         ambients = sorted(float(t) for t in rng.uniform(0.0, 80.0, size=6))
         config = GuardbandConfig(base_activity=0.45)
@@ -87,26 +90,22 @@ class TestBatchEquivalence:
             tiny_flow, fabric25, ambients, config=config
         )
         for t_ambient, outcome in zip(ambients, outcomes):
-            reference = thermal_aware_guardband(
-                tiny_flow, fabric25, t_ambient, config=config
+            _assert_same_run(
+                outcome,
+                thermal_aware_guardband(
+                    tiny_flow, fabric25, t_ambient, config=config
+                ),
             )
-            assert isinstance(outcome, GuardbandResult)
-            drift = abs(outcome.frequency_hz - reference.frequency_hz)
-            assert drift <= max(_margin(reference), 1e-9)
-            assert outcome.iterations == reference.iterations
 
     def test_other_corner_fabric(self, tiny_flow, fabric70):
-        """The batch is generic in the fabric corner it runs against."""
+        """The group is generic in the fabric corner it runs against."""
         outcomes = thermal_aware_guardband_batch(
             tiny_flow, fabric70, [25.0, 55.0]
         )
         for t_ambient, outcome in zip((25.0, 55.0), outcomes):
-            reference = thermal_aware_guardband(
-                tiny_flow, fabric70, t_ambient
+            _assert_same_run(
+                outcome, thermal_aware_guardband(tiny_flow, fabric70, t_ambient)
             )
-            assert isinstance(outcome, GuardbandResult)
-            drift = abs(outcome.frequency_hz - reference.frequency_hz)
-            assert drift <= max(_margin(reference), 1e-9)
 
     def test_histories_match_looped_trajectories(
         self, tiny_flow, fabric25, looped
@@ -115,18 +114,7 @@ class TestBatchEquivalence:
             tiny_flow, fabric25, list(AMBIENTS)
         )
         for t_ambient, outcome in zip(AMBIENTS, outcomes):
-            reference = looped[t_ambient]
-            assert len(outcome.history) == len(reference.history)
-            for got, want in zip(outcome.history, reference.history):
-                assert got.frequency_hz == pytest.approx(
-                    want.frequency_hz, rel=1e-9
-                )
-                assert got.total_power_w == pytest.approx(
-                    want.total_power_w, rel=1e-9
-                )
-                assert got.max_delta_celsius == pytest.approx(
-                    want.max_delta_celsius, abs=1e-6
-                )
+            assert _trajectory(outcome) == _trajectory(looped[t_ambient])
 
     def test_single_cell_batch_matches_single_run(
         self, tiny_flow, fabric25, looped
@@ -134,12 +122,7 @@ class TestBatchEquivalence:
         (outcome,) = thermal_aware_guardband_batch(
             tiny_flow, fabric25, [25.0]
         )
-        reference = looped[25.0]
-        assert isinstance(outcome, GuardbandResult)
-        assert abs(outcome.frequency_hz - reference.frequency_hz) <= max(
-            _margin(reference), 1e-9
-        )
-        assert outcome.iterations == reference.iterations
+        _assert_same_run(outcome, looped[25.0])
 
     def test_empty_batch(self, tiny_flow, fabric25):
         assert thermal_aware_guardband_batch(tiny_flow, fabric25, []) == []
@@ -154,8 +137,8 @@ class TestBatchEquivalence:
         assert not np.shares_memory(a.tile_temperatures, b.tile_temperatures)
 
     def test_mixed_convergence_speeds(self, tiny_flow, fabric25, looped):
-        """A warm-started cell drops out of the batch early; the slower
-        cold batch-mates still converge to their own fixed points."""
+        """A warm-started cell converges in fewer iterations than its
+        cold neighbours; every cell still equals its own looped run."""
         reference = looped[25.0]
         outcomes = thermal_aware_guardband_batch(
             tiny_flow, fabric25,
@@ -167,29 +150,24 @@ class TestBatchEquivalence:
         )
         warm, cold, hot = outcomes
         assert isinstance(warm, GuardbandResult)
-        assert isinstance(cold, GuardbandResult)
-        assert isinstance(hot, GuardbandResult)
-        assert warm.warm_started and not cold.warm_started
-        assert warm.iterations < cold.iterations
-        assert cold.iterations == reference.iterations
-        assert hot.iterations == looped[65.0].iterations
-        # Every cell lands on its own fixed point within the margin.
-        assert abs(warm.frequency_hz - reference.frequency_hz) <= _margin(
-            reference
+        assert warm.warm_started
+        assert warm.iterations < reference.iterations
+        _assert_same_run(
+            warm,
+            thermal_aware_guardband(
+                tiny_flow, fabric25, 25.0,
+                warm_start=reference.tile_temperatures,
+            ),
         )
-        assert abs(cold.frequency_hz - reference.frequency_hz) <= max(
-            _margin(reference), 1e-9
-        )
-        assert abs(hot.frequency_hz - looped[65.0].frequency_hz) <= max(
-            _margin(looped[65.0]), 1e-9
-        )
+        _assert_same_run(cold, reference)
+        _assert_same_run(hot, looped[65.0])
 
     def test_diverging_cell_does_not_poison_batch_mates(
         self, tiny_flow, fabric25, looped
     ):
         """With the budget set below the cold iteration count, the cold
-        cell diverges while its warm-started batch-mate still converges
-        and returns the correct fixed point."""
+        cell diverges while its warm-started neighbour still converges
+        to the same result as its own looped run."""
         reference = looped[25.0]
         assert reference.iterations >= 2, "fixture no longer exercises this"
         config = GuardbandConfig(max_iterations=reference.iterations - 1)
@@ -203,10 +181,13 @@ class TestBatchEquivalence:
         )
         diverged, converged = outcomes
         assert isinstance(diverged, GuardbandError)
-        assert isinstance(converged, GuardbandResult)
         assert "did not converge" in str(diverged)
-        assert abs(converged.frequency_hz - reference.frequency_hz) <= _margin(
-            reference
+        _assert_same_run(
+            converged,
+            thermal_aware_guardband(
+                tiny_flow, fabric25, 25.0, config=config,
+                warm_start=reference.tile_temperatures,
+            ),
         )
 
     def test_diverged_cell_carries_diagnostics(
@@ -250,6 +231,18 @@ class TestBatchEquivalence:
                 tiny_flow, fabric25, [BatchCell(25.0, warm_start=seed)]
             )
 
+    def test_bad_last_warm_start_raises_before_any_cell_runs(
+        self, tiny_flow, fabric25
+    ):
+        bad = BatchCell(65.0, warm_start=np.zeros(tiny_flow.n_tiles + 1))
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            with pytest.raises(ValueError, match="shape"):
+                thermal_aware_guardband_batch(
+                    tiny_flow, fabric25, [25.0, 45.0, bad]
+                )
+        assert [s for s in sink.spans() if s["name"] == "guardband.run"] == []
+
 
 class TestLoopedErrorDiagnostics:
     def test_looped_raise_carries_partial_state(self, tiny_flow, fabric25):
@@ -282,6 +275,8 @@ class TestLoopedErrorDiagnostics:
 
 
 class TestBatchedPowerModel:
+    """Power-breakdown caching and deterministic per-iteration telemetry."""
+
     @pytest.fixture(scope="class")
     def model(self, tiny_flow, fabric25):
         from repro.activity.ace import estimate_activity
@@ -289,39 +284,6 @@ class TestBatchedPowerModel:
 
         activity = estimate_activity(tiny_flow.netlist, 0.2)
         return PowerModel(tiny_flow, fabric25, activity)
-
-    def test_leakage_batch_bitwise_matches_rows(self, model, tiny_flow):
-        rng = np.random.default_rng(3)
-        t_batch = 25.0 + 40.0 * rng.random((5, tiny_flow.n_tiles))
-        batched = model.leakage_power_batch(t_batch)
-        for c in range(5):
-            np.testing.assert_array_equal(
-                batched[c], model.leakage_power(t_batch[c])
-            )
-
-    def test_dynamic_batch_matches_rows(self, model):
-        freqs = np.array([1e8, 3e8, 7.5e8])
-        batched = model.dynamic_power_batch(freqs)
-        for c, f in enumerate(freqs):
-            np.testing.assert_allclose(
-                batched[c], model.dynamic_power(float(f)), rtol=1e-12
-            )
-
-    def test_dynamic_batch_rejects_bad_input(self, model):
-        with pytest.raises(ValueError, match="1-D"):
-            model.dynamic_power_batch(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="negative"):
-            model.dynamic_power_batch(np.array([1e8, -1.0]))
-
-    def test_evaluate_batch_shape_checks(self, model, tiny_flow):
-        with pytest.raises(ValueError, match="match"):
-            model.evaluate_batch(
-                np.array([1e8]), np.full((2, tiny_flow.n_tiles), 25.0)
-            )
-        with pytest.raises(ValueError, match="batch shape"):
-            model.evaluate_batch(
-                np.array([1e8, 2e8]), np.full((2, 3), 25.0)
-            )
 
     def test_breakdown_totals_cached(self, model, tiny_flow):
         breakdown = model.evaluate(2e8, np.full(tiny_flow.n_tiles, 30.0))
@@ -337,21 +299,6 @@ class TestBatchedPowerModel:
         hot = model.evaluate(2e8, np.full(tiny_flow.n_tiles, 80.0))
         assert cool.total_watts < hot.total_watts
         assert cool.total_w is not hot.total_w
-
-    def test_per_cell_totals(self, model, tiny_flow):
-        t_batch = np.full((3, tiny_flow.n_tiles), 30.0)
-        freqs = np.array([1e8, 2e8, 3e8])
-        breakdown = model.evaluate_batch(freqs, t_batch)
-        per_cell = breakdown.total_watts_per_cell()
-        assert per_cell.shape == (3,)
-        assert breakdown.total_watts == pytest.approx(per_cell.sum())
-        single = model.evaluate(2e8, t_batch[1])
-        assert per_cell[1] == pytest.approx(single.total_watts, rel=1e-12)
-
-    def test_per_cell_totals_reject_single(self, model, tiny_flow):
-        single = model.evaluate(2e8, np.full(tiny_flow.n_tiles, 30.0))
-        with pytest.raises(ValueError, match="batched"):
-            single.total_watts_per_cell()
 
     def test_iteration_telemetry_bit_identical_across_runs(
         self, tiny_flow, fabric25
@@ -404,9 +351,9 @@ class TestBatchedSweep:
             r.job_id for r in loop.results
         ]
         for a, b in zip(loop.results, batch.results):
-            # Tolerance-identical (DESIGN.md §12); in practice the batch
-            # numerics only differ in BLAS summation order.
-            assert b.frequency_hz == pytest.approx(a.frequency_hz, rel=1e-9)
+            # One per-cell code path serves both (DESIGN.md §12).
+            assert b.frequency_hz == a.frequency_hz
+            assert b.total_power_w == a.total_power_w
             assert b.iterations == a.iterations
             assert b.worst_case_hz == a.worst_case_hz
 

@@ -465,12 +465,12 @@ class TestAlgorithmInputsTrace:
         path = self._trace(arch, fabric25, tiny_netlist, tmp_path)
         (trace,) = report_module.load_traces(path).traces
         runs = sorted(
-            (n for n in trace.spans
-             if n.name in ("guardband.run", "guardband.batch")),
+            (n for n in trace.spans if n.name == "guardband.run"),
             key=lambda n: n.t_start,
         )
+        # Two single runs, one run per cell of the two-cell group, energy.
         assert [n.attrs["inputs"] for n in runs] == [
-            "built", "reused", "reused", "reused"
+            "built", "reused", "reused", "reused", "reused"
         ]
         (build,) = [n for n in trace.spans if n.name == "guardband.inputs"]
         assert build.parent_id == runs[0].span_id

@@ -76,44 +76,6 @@ class TestThermalSolver:
         with pytest.raises(ValueError, match="shape"):
             solver.solve(np.zeros(7), 25.0)
 
-    def test_batched_rows_match_single_solves_bitwise(self, solver, layout):
-        rng = np.random.default_rng(11)
-        batch = rng.uniform(0.0, 1e-3, (5, layout.n_tiles))
-        temps = solver.solve(batch, 25.0)
-        assert temps.shape == (5, layout.n_tiles)
-        for row, power in zip(temps, batch):
-            single = solver.solve(power, 25.0)
-            np.testing.assert_array_equal(row, single)
-
-    def test_batched_per_row_ambient(self, solver, layout):
-        rng = np.random.default_rng(12)
-        batch = rng.uniform(0.0, 1e-3, (3, layout.n_tiles))
-        ambients = np.array([15.0, 25.0, 70.0])
-        temps = solver.solve(batch, ambients)
-        for row, power, ambient in zip(temps, batch, ambients):
-            np.testing.assert_array_equal(row, solver.solve(power, ambient))
-
-    def test_batched_scalar_ambient_broadcasts(self, solver, layout):
-        batch = np.full((4, layout.n_tiles), 5e-5)
-        uniform = solver.solve(batch, 40.0)
-        spelled = solver.solve(batch, np.full(4, 40.0))
-        np.testing.assert_array_equal(uniform, spelled)
-
-    def test_batched_rejects_negative_row(self, solver, layout):
-        batch = np.zeros((3, layout.n_tiles))
-        batch[1, 0] = -1e-3
-        with pytest.raises(ValueError, match=r"rows \[1\]"):
-            solver.solve(batch, 25.0)
-
-    def test_batched_rejects_wrong_width(self, solver):
-        with pytest.raises(ValueError, match="batched power shape"):
-            solver.solve(np.zeros((3, 7)), 25.0)
-
-    def test_batched_rejects_ambient_length_mismatch(self, solver, layout):
-        batch = np.zeros((3, layout.n_tiles))
-        with pytest.raises(ValueError, match="ambient shape"):
-            solver.solve(batch, np.array([25.0, 30.0]))
-
     def test_unfactored_rejects_batch(self, solver, layout):
         with pytest.raises(ValueError, match="single"):
             solver.solve_unfactored(np.zeros((2, layout.n_tiles)), 25.0)

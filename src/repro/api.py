@@ -127,6 +127,12 @@ if TYPE_CHECKING:  # Static surface for mypy/IDEs; runtime stays lazy.
     from repro.core.architecture import expected_delay, select_design_corner
     from repro.core.design import corner_delay_curves
     from repro.cad.place import PlacementIntegrityError
+    from repro.cad.thermal_place import (
+        ThermalPlaceError,
+        ThermalPlaceStats,
+        ThermalProxy,
+        density_vector,
+    )
     from repro.core.guardband import (
         BatchCell,
         EnergyReport,

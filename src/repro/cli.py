@@ -281,7 +281,6 @@ def _run_engine(
             progress=progress,
             store=store_path,
             resume_from=resume_from,
-            batch=getattr(args, "batch", False),
         )
     if quiet:
         print(sweep.to_json())
@@ -372,7 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         open_store(args.store),
         workers=args.workers,
         max_retries=args.max_retries,
-        batch=not args.no_batch,
     )
     server = SweepServer(scheduler, host=args.host, port=args.port)
     sinks: List[Sink] = []
@@ -558,7 +556,8 @@ def main(argv=None) -> int:
     )
     engine.add_argument(
         "--timeout", type=float, default=None,
-        help="per-job timeout in seconds (parallel mode)",
+        help="per-cell timeout in seconds (parallel mode); a work unit "
+             "of N same-flow cells gets N times this",
     )
     engine.add_argument(
         "--trace", type=str, default=None,
@@ -576,13 +575,6 @@ def main(argv=None) -> int:
         help="resume an interrupted run from DIR (implies --run-dir DIR): "
              "completed cells are reloaded from DIR/sweep.jsonl and only "
              "the remainder is executed",
-    )
-    engine.add_argument(
-        "--batch", action="store_true",
-        help="dispatch same-flow cells (an ambient sweep over one placed "
-             "benchmark) as one work unit that resolves the flow once; "
-             "results, per-cell records and store/resume semantics are "
-             "unchanged",
     )
     engine.add_argument(
         "--thermal-weight", type=float, default=0.0, metavar="W",
@@ -654,11 +646,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--max-retries", type=int, default=1,
         help="extra attempts per work unit on retryable errors",
-    )
-    p.add_argument(
-        "--no-batch", action="store_true",
-        help="dispatch each cell alone instead of grouping same-flow "
-             "cells into one work unit",
     )
     p.add_argument(
         "--trace", type=str, default=None,

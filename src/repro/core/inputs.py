@@ -22,6 +22,10 @@ cell; the inputs are pure functions of their keys, so a reused input is
 bit-identical to a rebuilt one (DESIGN.md §17).  The fourth input, the
 energy mode's per-supply voltage tables, is process-wide in
 :mod:`repro.power.voltage`.
+
+The sweep engine keeps one more per-(flow, fabric) value here, the
+worst-case baseline clock every cell's gain is measured against
+(:func:`worst_case_hz`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from typing import Dict, List, Optional, Tuple
 from repro import observe
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.cad.flow import FlowResult
+from repro.cad.timing import TimingAnalyzer
 from repro.coffe.fabric import Fabric
+from repro.core.margins import worst_case_frequency
 from repro.power.model import PowerModel
 from repro.thermal.hotspot import ThermalSolver
 from repro.thermal.package import ThermalPackage
@@ -59,6 +65,11 @@ class _FlowEntries:
     """Keyed by ``(id(fabric), id(activity))``; the model holds both, so
     neither id can be reused while the entry exists."""
     solvers: Dict[ThermalPackage, ThermalSolver] = field(default_factory=dict)
+    worst_case: Dict[int, Tuple[Fabric, TimingAnalyzer, float]] = field(
+        default_factory=dict
+    )
+    """Keyed by ``id(fabric)``; the entry holds the fabric, so the id
+    cannot be reused while it exists, and the analyzer it was timed with."""
 
 
 def _entries(flow: FlowResult) -> _FlowEntries:
@@ -119,3 +130,21 @@ def algorithm_inputs(
             built.append("solver")
         span.set_attrs(built=",".join(built))
     return AlgorithmInputs(activity, power_model, solver, built=True)
+
+
+def worst_case_hz(flow: FlowResult, fabric: Fabric) -> float:
+    """The flow's worst-case baseline clock on ``fabric``, timed once.
+
+    :func:`~repro.core.margins.worst_case_frequency` at its default
+    ``T_worst`` is one full STA of the flow on a uniformly hot die, and
+    every sweep cell over one (flow, fabric) pair divides by the same
+    value.  The entry is checked against ``flow.timing``, like the
+    inputs above against what they were built from.
+    """
+    entries = _entries(flow)
+    entry = entries.worst_case.get(id(fabric))
+    if entry is not None and entry[1] is flow.timing:
+        return entry[2]
+    hz = worst_case_frequency(flow, fabric)
+    entries.worst_case[id(fabric)] = (fabric, flow.timing, hz)
+    return hz

@@ -33,7 +33,7 @@ from repro.observe.metrics import (
     MetricsRegistry,
 )
 from repro.observe.sinks import JsonlSink, Sink
-from repro.observe.spans import NULL_SPAN, Span, SpanLike, SpanSession
+from repro.observe.spans import NULL_SPAN, Span, SpanLike, SpanSession, TimingSpan
 
 
 class _Session(SpanSession):
@@ -115,8 +115,8 @@ def enabled(
     enabling phase timing inside a CLI ``--trace`` session — reuse the
     outer session, and their ``sink``/``jsonl_path`` arguments are
     ignored.  With neither argument the session is *timing-only*: spans
-    still measure (so ``phase_seconds`` is collected) but records are
-    dropped.
+    measure their duration (so ``phase_seconds`` is collected) and
+    nothing else — no ids, no wall clock, no records.
     """
     global _SESSION
     if sink is not None and jsonl_path is not None:
@@ -179,10 +179,13 @@ def propagation_context() -> Optional[TraceContext]:
 
 
 def span(name: str, **attrs: object) -> SpanLike:
-    """A new child span of the current one (the shared no-op if disabled)."""
+    """A new child span of the current one (the shared no-op if disabled,
+    a duration-only :class:`TimingSpan` if the session has no sink)."""
     session = _active()
     if session is None:
         return NULL_SPAN
+    if session.sink is None:
+        return TimingSpan()
     return Span(session, name, dict(attrs))
 
 

@@ -12,7 +12,10 @@ gap.
 When observability is disabled, :func:`repro.observe.span` hands back the
 shared :data:`NULL_SPAN`, whose methods all no-op — instrumented hot
 loops pay one ``is-enabled`` check per phase, mirroring the fast path the
-old ``repro.profiling`` timers had.
+old ``repro.profiling`` timers had.  In a timing-only session (enabled,
+but with no sink to write to) it hands back a :class:`TimingSpan`, which
+measures its monotonic duration and nothing else: no id, no wall clock,
+no place on the span stack, no record.
 """
 
 from __future__ import annotations
@@ -132,8 +135,32 @@ class _NullSpan:
         return None
 
 
+class TimingSpan(_NullSpan):
+    """A span of a timing-only session (no sink): it measures its
+    monotonic duration and nothing else, since only ``duration_s`` could
+    ever be read — no ids, no wall clock, no stack push, no record."""
+
+    __slots__ = ("duration_s", "_t0")
+
+    def __init__(self) -> None:
+        self.duration_s: Optional[float] = None
+        self._t0 = 0.0
+
+    def __enter__(self) -> "TimingSpan":
+        self._t0 = clock.monotonic()
+        return self
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> None:
+        self.duration_s = clock.monotonic() - self._t0
+
+
 NULL_SPAN = _NullSpan()
 
-SpanLike = Union[Span, _NullSpan]
-"""What :func:`repro.observe.span` returns: a live span, or the shared
-no-op when disabled."""
+SpanLike = Union[Span, TimingSpan, _NullSpan]
+"""What :func:`repro.observe.span` returns: a live span, a timing-only
+span when the session has no sink, or the shared no-op when disabled."""

@@ -1,43 +1,47 @@
 """Parallel, fault-tolerant sweep engine.
 
 :func:`run_sweep` expands an :class:`~repro.runner.spec.ExperimentSpec`
-into jobs and executes them either in-process (``workers=1``) or on a
-``ProcessPoolExecutor``.  Design points:
+into jobs, groups the jobs that share one placed flow into work units
+(:func:`_work_units`) and executes the units either in-process
+(``workers=1``) or on a ``ProcessPoolExecutor``.  Design points:
 
-- **Determinism** — serial and parallel paths run the *same* pure
-  :func:`_execute_job`, so a parallel sweep is bit-identical to a serial
-  one (every job recomputes from the same seeded inputs).
-- **Graceful degradation** — a job that raises is recorded as a
-  :class:`~repro.runner.results.JobFailure`; the sweep always returns a
-  complete :class:`~repro.runner.results.SweepResult`.  A worker killed
-  mid-job (``BrokenProcessPool``) triggers a pool rebuild and a bounded
-  re-dispatch of the in-flight jobs.
+- **One dispatch path** — every unit, a single cell included, runs
+  through the same pure :func:`_execute_unit`: the flow, fabric and
+  worst-case baseline are resolved once, then each cell runs its own
+  Algorithm 1.  Serial and parallel sweeps run that same function, so a
+  parallel sweep is bit-identical to a serial one.
+- **Graceful degradation** — a unit that raises records one
+  :class:`~repro.runner.results.JobFailure` per cell, and a cell whose
+  fixed point diverges fails alone; the sweep always returns a complete
+  :class:`~repro.runner.results.SweepResult`.  A worker killed mid-unit
+  (``BrokenProcessPool``) triggers a pool rebuild and a bounded
+  re-dispatch of the in-flight units.
 - **Bounded retry** — transient errors (:class:`RoutingError`, ``OSError``
-  and friends, broken pools) are retried up to ``max_retries`` extra
+  and friends, broken pools) retry the unit up to ``max_retries`` extra
   attempts; deterministic failures are not retried.  A
   :class:`RoutingError` retry perturbs the placement seed — the flow is
   deterministic (and already escalates channel width internally), so an
   identical re-run would only fail identically.
-- **Observability** — each finished cell streams one JSONL record
-  (including Algorithm 1 phase timings derived from
-  :mod:`repro.observe` spans) and fires the ``progress`` callback.  The
-  JSONL file is truncated at the start of each run, so one file is one
-  run.  When an observability session is active (CLI ``--trace``), the
-  sweep additionally emits a ``sweep.run`` span, per-cell ``sweep.cell``
+- **Observability** — each finished cell fires the ``progress`` callback
+  and, when a JSONL path is given, streams one record (including its
+  Algorithm 1 phase timings and its own wall time).  The JSONL file is
+  truncated at the start of each run, so one file is one run.  When an
+  observability session is active (CLI ``--trace``), the sweep
+  additionally emits a ``sweep.run`` span, per-cell ``sweep.cell``
   lifecycle spans and ``job.terminal``/``job.retry`` events — including
   for timed-out and killed-worker cells, whose worker-side spans never
   close — and ships a :class:`~repro.observe.context.TraceContext` to
   every pool worker so worker spans re-parent under the sweep's trace.
-- **Per-job timeout** — a parallel job overdue past ``job_timeout``
-  seconds is recorded as a timeout failure.  At most ``workers`` jobs
-  are dispatched to the pool at a time (the rest wait in an engine-side
+- **Per-cell timeout** — ``job_timeout`` is per cell: a parallel unit of
+  ``n`` cells overdue past ``n * job_timeout`` seconds records a timeout
+  failure for each of its cells.  At most ``workers`` units are
+  dispatched to the pool at a time (the rest wait in an engine-side
   ready queue), so the timeout clock starts at execution start, not
   submission — queue wait behind a full pool never counts against it.
   A genuinely wedged worker cannot be force-killed through
   ``concurrent.futures``; its slot is parked until the late result
   arrives and is discarded, and if every slot wedges the pool is
   rebuilt.  (Ignored on the serial path.)
-
 - **Persistence and resume** — with a :class:`~repro.store.ResultStore`
   attached, every converged cell is persisted under its content digest
   (flow cache key x config x ambient x corner x schema version); a
@@ -49,8 +53,11 @@ into jobs and executes them either in-process (``workers=1``) or on a
 - **Warm starts** — for configs with ``warm_start_policy="nearest"``
   and a store attached, each cell's fixed point is seeded with the
   converged per-tile profile of the nearest completed same-benchmark
-  neighbour (re-based onto the cell's ambient), cutting iterations; the
-  converged frequency agrees with a cold start within the ``delta_t``
+  cell (re-based onto the cell's ambient), cutting iterations.  The
+  candidates are the cells completed when the unit was dispatched plus
+  the unit's own cells completed before this one, so a serial sweep
+  seeds exactly as if every cell were dispatched alone.  The converged
+  frequency agrees with a cold start within the ``delta_t``
   compensation tolerance (DESIGN.md §11), which also means a
   warm-started parallel sweep is *tolerance-identical* — not
   bit-identical — to a serial one, since completion order picks the
@@ -71,7 +78,9 @@ import numpy as np
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro import observe
 from repro.arch.params import ArchParams
@@ -81,13 +90,13 @@ from repro.observe.clock import monotonic
 from repro.observe.context import TraceContext
 from repro.coffe.fabric import Fabric, build_fabric
 from repro.core.guardband import (
-    BatchCell,
     GuardbandError,
     GuardbandResult,
     thermal_aware_guardband,
-    thermal_aware_guardband_batch,
+    thermal_aware_guardband_batch,  # noqa: F401  (perfbench patches it here)
 )
-from repro.core.margins import guardband_gain, worst_case_frequency
+from repro.core.inputs import worst_case_hz
+from repro.core.margins import guardband_gain
 from repro.runner.results import JobFailure, JobResult, SweepResult
 from repro.runner.spec import ExperimentSpec, SweepJob
 from repro.store import ResultStore, store_digest
@@ -106,7 +115,7 @@ filesystem/cache races, and pool breakage from a killed worker.
 Everything else is deterministic and fails fast."""
 
 DEFAULT_MAX_RETRIES = 1
-"""Extra attempts after the first, per job."""
+"""Extra attempts after the first, per work unit."""
 
 _FABRIC_MEMO: Dict[Tuple[float, ArchParams], Fabric] = {}
 """Per-process memo: corner characterization is identical for every job
@@ -133,13 +142,28 @@ def _warm_start_miss(job: SweepJob, reason: str) -> None:
     observe.event("store.warm_start_miss", job_id=job.job_id, reason=reason)
 
 
+def _nearest(
+    job: SweepJob, cells: Sequence[Tuple[float, float]]
+) -> Tuple[Tuple[float, float], ...]:
+    """The (up to) three completed cells nearest ``job``, nearest first;
+    ties go to the lower ambient, then corner, never completion order."""
+    return tuple(sorted(cells, key=lambda c: (
+        abs(c[0] - job.t_ambient) + abs(c[1] - job.corner), c[0], c[1],
+    ))[:3])
+
+
 def _warm_start_vector(
-    store: Optional[ResultStore], flow: FlowResult, job: SweepJob
+    store: Optional[ResultStore],
+    flow: FlowResult,
+    job: SweepJob,
+    unit_done: Sequence[Tuple[float, float]] = (),
 ) -> Optional["np.ndarray"]:
     """Seed vector from the nearest stored neighbour, or ``None``.
 
     ``job.warm_start_cells`` holds completed same-benchmark grid
-    coordinates (nearest first); the neighbour's converged profile is
+    coordinates (nearest first) attached at dispatch; ``unit_done``
+    adds the cells of the job's own unit that completed since, and the
+    nearest of both are tried.  The neighbour's converged profile is
     re-based onto this cell's ambient (the *rise* over ambient is what
     transfers between operating points).  Any unusable candidate —
     quarantined entry, layout mismatch from a retry's perturbed seed —
@@ -150,11 +174,13 @@ def _warm_start_vector(
     if (
         store is None
         or job.config.warm_start_policy != "nearest"
-        or not job.warm_start_cells
         or flow.cache_key is None
     ):
         return None
-    for t_ambient, corner in job.warm_start_cells:
+    candidates = job.warm_start_cells
+    if unit_done:
+        candidates = _nearest(job, candidates + tuple(unit_done))
+    for t_ambient, corner in candidates:
         digest = store_digest(flow.cache_key, job.config, t_ambient, corner)
         existed = digest in store
         neighbour = store.get(digest)
@@ -176,118 +202,12 @@ def _warm_start_vector(
     return None
 
 
-def _execute_job(job: SweepJob, store: Optional[str] = None) -> JobResult:
-    """Run one grid cell end-to-end.  Pure: deterministic in ``job``
-    (with a ``store``, up to the warm-start tolerance — see DESIGN.md §11).
-
-    Module-level so the process pool can pickle it by reference; the
-    serial path calls it directly, guaranteeing identical numerics.
-
-    Always runs under :func:`repro.observe.enabled` — timing-only when
-    nothing else opened a session (so ``phase_seconds`` is collected, as
-    the old ``profiling.enabled()`` wrapper did), nested into the
-    surrounding session when the CLI enabled tracing or a worker attached
-    a :class:`TraceContext`.
-
-    ``store`` is the result-store root (a path, so it crosses the pool
-    boundary cheaply).  A store hit serves the converged
-    :class:`GuardbandResult` without re-running Algorithm 1; a miss
-    computes (warm-started from the nearest stored neighbour when the
-    job's config asks for it) and persists the converged result.
-    """
-    start = monotonic()
-    result_store = ResultStore(store) if store is not None else None
-    with observe.enabled():
-        job_span = observe.span(
-            "sweep.job",
-            job_id=job.job_id,
-            benchmark=job.benchmark,
-            t_ambient=job.t_ambient,
-            corner=job.corner,
-        )
-        with job_span:
-            cache_before = cache_counters()
-            netlist = job.resolve_netlist()
-            flow = run_flow(
-                netlist, job.arch, seed=job.seed,
-                timing_driven=job.timing_driven,
-                thermal_weight=job.config.thermal_weight,
-            )
-            fabric = _fabric_for(job.corner, job.arch)
-            worst_case_hz = worst_case_frequency(flow, fabric)
-            store_event: Optional[str] = None
-            result: Optional[GuardbandResult] = None
-            digest: Optional[str] = None
-            if result_store is not None and flow.cache_key is not None:
-                digest = store_digest(
-                    flow.cache_key, job.config, job.t_ambient, job.corner
-                )
-                result = result_store.get(digest)
-                store_event = "hit" if result is not None else "miss"
-            if result is None:
-                warm = _warm_start_vector(result_store, flow, job)
-                result = thermal_aware_guardband(
-                    flow, fabric, job.t_ambient, config=job.config,
-                    warm_start=warm,
-                )
-                if result_store is not None and digest is not None:
-                    result_store.put(digest, result)
-            cache_after = cache_counters()
-            cache_events = {
-                kind: cache_after[kind] - cache_before[kind]
-                for kind in cache_after
-                if cache_after[kind] > cache_before[kind]
-            }
-            job_span.set_attrs(
-                frequency_hz=result.frequency_hz,
-                iterations=result.iterations,
-                warm_started=result.warm_started,
-                **({"store": store_event} if store_event else {}),
-            )
-        # A store hit did no Algorithm 1 work in this process; claiming
-        # the stored run's phase timings here would double-count them.
-        phase_seconds = (
-            {}
-            if store_event == "hit"
-            else observe.total_phase_seconds(
-                iteration.phase_seconds for iteration in result.history
-            )
-        )
-    return JobResult(
-        job_id=job.job_id,
-        benchmark=job.benchmark,
-        t_ambient=job.t_ambient,
-        corner=job.corner,
-        frequency_hz=result.frequency_hz,
-        worst_case_hz=worst_case_hz,
-        gain=guardband_gain(result.frequency_hz, worst_case_hz),
-        iterations=result.iterations,
-        total_power_w=result.total_power_w,
-        max_tile_celsius=float(result.tile_temperatures.max()),
-        mean_tile_celsius=float(result.tile_temperatures.mean()),
-        wall_seconds=monotonic() - start,
-        phase_seconds=phase_seconds,
-        cache_key=flow.cache_key,
-        cache_events=cache_events,
-        warm_started=result.warm_started,
-        store_event=store_event,
-        mode=result.mode,
-        vdd_v=result.vdd_v,
-        energy_saving=(
-            result.energy.power_saving_fraction if result.energy else None
-        ),
-        energy_per_cycle_j=(
-            result.energy.energy_per_cycle_j if result.energy else None
-        ),
-    )
-
-
-def _batch_key(job: SweepJob) -> Tuple[object, ...]:
-    """Everything a batch must share: one flow, one fabric, one config.
+def _unit_key(job: SweepJob) -> Tuple[object, ...]:
+    """Everything a work unit must share: one flow, one fabric, one config.
 
     Jobs agreeing on this key resolve to the same flow cache key (the
     netlist/arch/seed triple determines it) and differ only in ambient,
-    so one flow, fabric and worst-case baseline serve the whole group.
+    so one flow, fabric and worst-case baseline serve the whole unit.
     """
     return (
         job.benchmark,
@@ -300,179 +220,189 @@ def _batch_key(job: SweepJob) -> Tuple[object, ...]:
     )
 
 
-def _batch_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
+def _work_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
     """Group same-flow jobs into work units, grid order preserved.
 
     Each unit is dispatched (and retried, and timed out) as one work
-    item; its cells still record individually — one JSONL line, one
-    ``sweep.cell`` span and one store write per cell.
+    item; a job with no same-flow neighbour is a unit of one.  Cells
+    still record individually: one JSONL line, one ``sweep.cell`` span
+    and one store write per cell.
     """
     grouped: Dict[Tuple[object, ...], List[SweepJob]] = {}
-    order: List[Tuple[object, ...]] = []
     for job in jobs:
-        key = _batch_key(job)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(job)
-    return [grouped[key] for key in order]
+        grouped.setdefault(_unit_key(job), []).append(job)
+    return list(grouped.values())
 
 
-def _execute_batch(
-    jobs: List[SweepJob], store: Optional[str] = None
-) -> List[Union[JobResult, JobFailure]]:
-    """Run one grouped unit of same-flow cells end-to-end.
+_CellOutcome = Tuple[Union[GuardbandResult, GuardbandError], Optional[str]]
+"""A cell's converged result (or its divergence) and its store event."""
 
-    The placed netlist, fabric and worst-case baseline are resolved
-    once; cells already persisted in the result store are served as
-    per-cell hits, and only the remainder runs Algorithm 1, one cell
-    after another (:func:`~repro.core.guardband.thermal_aware_guardband_batch`),
-    each under its own ``guardband.run`` span inside the unit's
-    ``sweep.batch`` span.  Per-cell semantics match :func:`_execute_job`:
-    one :class:`JobResult` (or, for a diverged cell, :class:`JobFailure`)
-    per input job, in input order, each with its own store write and its
-    own measured ``phase_seconds``.  Wall clock is attributed evenly
-    across the unit's cells.
+
+def _run_cell(
+    job: SweepJob,
+    flow: FlowResult,
+    fabric: Fabric,
+    result_store: Optional[ResultStore],
+    unit_done: List[Tuple[float, float]],
+) -> _CellOutcome:
+    """One cell of a unit: served from the store, or computed and stored.
+
+    ``unit_done`` holds the coordinates of the unit's cells that already
+    have a result; under ``warm_start_policy="nearest"`` they are
+    warm-start candidates alongside the neighbours attached at dispatch.
     """
-    start = monotonic()
-    result_store = ResultStore(store) if store is not None else None
-    n_jobs = len(jobs)
-    lead = jobs[0]
-    with observe.enabled():
-        batch_span = observe.span(
-            "sweep.batch",
-            benchmark=lead.benchmark,
-            corner=lead.corner,
-            n_cells=n_jobs,
-        )
-        with batch_span:
-            cache_before = cache_counters()
-            netlist = lead.resolve_netlist()
-            flow = run_flow(
-                netlist, lead.arch, seed=lead.seed,
-                timing_driven=lead.timing_driven,
-                thermal_weight=lead.config.thermal_weight,
-            )
-            fabric = _fabric_for(lead.corner, lead.arch)
-            worst_case_hz = worst_case_frequency(flow, fabric)
-
-            results: List[Optional[GuardbandResult]] = [None] * n_jobs
-            errors: Dict[int, GuardbandError] = {}
-            digests: Dict[int, str] = {}
-            store_events: Dict[int, str] = {}
+    store_event: Optional[str] = None
+    job_span = observe.span(
+        "sweep.job",
+        job_id=job.job_id,
+        benchmark=job.benchmark,
+        t_ambient=job.t_ambient,
+        corner=job.corner,
+    )
+    try:
+        with job_span:
+            result: Optional[GuardbandResult] = None
+            digest: Optional[str] = None
             if result_store is not None and flow.cache_key is not None:
-                for i, job in enumerate(jobs):
-                    digests[i] = store_digest(
-                        flow.cache_key, job.config, job.t_ambient, job.corner
-                    )
-                    results[i] = result_store.get(digests[i])
-                    store_events[i] = (
-                        "hit" if results[i] is not None else "miss"
-                    )
-            pending = [i for i in range(n_jobs) if results[i] is None]
-            if pending:
-                cells = [
-                    BatchCell(
-                        t_ambient=jobs[i].t_ambient,
-                        warm_start=_warm_start_vector(
-                            result_store, flow, jobs[i]
-                        ),
-                    )
-                    for i in pending
-                ]
-                outcomes = thermal_aware_guardband_batch(
-                    flow, fabric, cells, config=lead.config
+                digest = store_digest(
+                    flow.cache_key, job.config, job.t_ambient, job.corner
                 )
-                for i, outcome in zip(pending, outcomes):
-                    if isinstance(outcome, GuardbandError):
-                        errors[i] = outcome
-                    else:
-                        results[i] = outcome
-                        if result_store is not None and i in digests:
-                            result_store.put(digests[i], outcome)
-            cache_after = cache_counters()
-            cache_events = {
-                kind: cache_after[kind] - cache_before[kind]
-                for kind in cache_after
-                if cache_after[kind] > cache_before[kind]
-            }
-            batch_span.set_attrs(
-                n_computed=len(pending), n_failed=len(errors)
+                result = result_store.get(digest)
+                store_event = "hit" if result is not None else "miss"
+            if result is None:
+                warm = _warm_start_vector(result_store, flow, job, unit_done)
+                result = thermal_aware_guardband(
+                    flow, fabric, job.t_ambient, config=job.config,
+                    warm_start=warm,
+                )
+                if result_store is not None and digest is not None:
+                    result_store.put(digest, result)
+            job_span.set_attrs(
+                frequency_hz=result.frequency_hz,
+                iterations=result.iterations,
+                warm_started=result.warm_started,
+                **({"store": store_event} if store_event else {}),
             )
+    except GuardbandError as error:
+        # A diverged cell fails alone; its unit-mates still run.
+        return error, store_event
+    return result, store_event
 
-    wall_share = (monotonic() - start) / n_jobs
-    records: List[Union[JobResult, JobFailure]] = []
-    for i, job in enumerate(jobs):
-        store_event = store_events.get(i)
-        error = errors.get(i)
-        if error is not None:
-            records.append(
-                JobFailure(
-                    job_id=job.job_id,
-                    benchmark=job.benchmark,
-                    t_ambient=job.t_ambient,
-                    corner=job.corner,
-                    error_type=type(error).__name__,
-                    message=str(error) or type(error).__name__,
-                    attempts=1,
-                    wall_seconds=wall_share,
-                    retryable=isinstance(error, RETRYABLE_ERRORS),
-                    diagnostics=_failure_diagnostics(error),
-                )
-            )
-            continue
-        result = results[i]
-        assert result is not None  # every index is a result or an error
-        phase_seconds = (
+
+def _cell_record(
+    job: SweepJob,
+    outcome: Union[GuardbandResult, GuardbandError],
+    store_event: Optional[str],
+    wall_seconds: float,
+    baseline_hz: float,
+    flow: FlowResult,
+    cache_events: Dict[str, int],
+) -> Union[JobResult, JobFailure]:
+    if isinstance(outcome, GuardbandError):
+        return _failure_from(job, outcome, 1, wall_seconds)
+    energy = outcome.energy
+    return JobResult(
+        job_id=job.job_id,
+        benchmark=job.benchmark,
+        t_ambient=job.t_ambient,
+        corner=job.corner,
+        frequency_hz=outcome.frequency_hz,
+        worst_case_hz=baseline_hz,
+        gain=guardband_gain(outcome.frequency_hz, baseline_hz),
+        iterations=outcome.iterations,
+        total_power_w=outcome.total_power_w,
+        max_tile_celsius=float(outcome.tile_temperatures.max()),
+        mean_tile_celsius=float(outcome.tile_temperatures.mean()),
+        wall_seconds=wall_seconds,
+        # A store hit did no Algorithm 1 work in this process; claiming
+        # the stored run's phase timings here would double-count them.
+        phase_seconds=(
             {}
             if store_event == "hit"
             else observe.total_phase_seconds(
-                iteration.phase_seconds for iteration in result.history
+                iteration.phase_seconds for iteration in outcome.history
             )
-        )
-        records.append(
-            JobResult(
-                job_id=job.job_id,
-                benchmark=job.benchmark,
-                t_ambient=job.t_ambient,
-                corner=job.corner,
-                frequency_hz=result.frequency_hz,
-                worst_case_hz=worst_case_hz,
-                gain=guardband_gain(result.frequency_hz, worst_case_hz),
-                iterations=result.iterations,
-                total_power_w=result.total_power_w,
-                max_tile_celsius=float(result.tile_temperatures.max()),
-                mean_tile_celsius=float(result.tile_temperatures.mean()),
-                wall_seconds=wall_share,
-                phase_seconds=phase_seconds,
-                cache_key=flow.cache_key,
-                cache_events=cache_events if i == 0 else {},
-                warm_started=result.warm_started,
-                store_event=store_event,
-                mode=result.mode,
-                vdd_v=result.vdd_v,
-                energy_saving=(
-                    result.energy.power_saving_fraction
-                    if result.energy
-                    else None
-                ),
-                energy_per_cycle_j=(
-                    result.energy.energy_per_cycle_j
-                    if result.energy
-                    else None
-                ),
-            )
-        )
-    return records
+        ),
+        cache_key=flow.cache_key,
+        cache_events=cache_events,
+        warm_started=outcome.warm_started,
+        store_event=store_event,
+        mode=outcome.mode,
+        vdd_v=outcome.vdd_v,
+        energy_saving=energy.power_saving_fraction if energy else None,
+        energy_per_cycle_j=energy.energy_per_cycle_j if energy else None,
+    )
 
 
 def _execute_unit(
     unit: List[SweepJob], store: Optional[str] = None
 ) -> List[Union[JobResult, JobFailure]]:
-    """Run one work unit: a single cell, or a grouped same-flow unit."""
-    if len(unit) == 1:
-        return [_execute_job(unit[0], store=store)]
-    return _execute_batch(unit, store=store)
+    """Run one work unit of same-flow cells end to end.
+
+    Pure: deterministic in ``unit`` (with a ``store``, up to the
+    warm-start tolerance — see DESIGN.md §11).  Module-level so the
+    process pool can pickle it by reference; the serial path calls it
+    directly, guaranteeing identical numerics.
+
+    The placed netlist, fabric and worst-case baseline are resolved once
+    (a ``sweep.resolve`` span).  Then each cell, in order and under its
+    own ``sweep.job`` span, is served from the result store or runs
+    Algorithm 1 and is persisted (:func:`_run_cell`).  Returns one
+    :class:`JobResult` per cell in input order, or a :class:`JobFailure`
+    for a cell whose fixed point diverged; any other error escapes, and
+    the caller retries or fails the whole unit.
+
+    Always runs under :func:`repro.observe.enabled` — timing-only when
+    nothing else opened a session (so ``phase_seconds`` is collected),
+    nested into the surrounding session when the CLI enabled tracing or
+    a worker attached a :class:`TraceContext`.
+
+    A cell's ``wall_seconds`` is its own time plus an even share of the
+    unit's shared work (resolution, records), so the cells of a unit sum
+    to its wall clock; the flow-cache events of the resolution are
+    attributed to the first cell.  ``store`` is the result-store root (a
+    path, so it crosses the pool boundary cheaply).
+    """
+    start = monotonic()
+    result_store = ResultStore(store) if store is not None else None
+    lead = unit[0]
+    cells: List[Tuple[SweepJob, _CellOutcome, float]] = []
+    with observe.enabled():
+        cache_before = cache_counters()
+        with observe.span(
+            "sweep.resolve",
+            benchmark=lead.benchmark,
+            corner=lead.corner,
+            n_cells=len(unit),
+        ):
+            flow = run_flow(
+                lead.resolve_netlist(), lead.arch, seed=lead.seed,
+                timing_driven=lead.timing_driven,
+                thermal_weight=lead.config.thermal_weight,
+            )
+            fabric = _fabric_for(lead.corner, lead.arch)
+            baseline_hz = worst_case_hz(flow, fabric)
+        cache_after = cache_counters()
+        cache_events = {
+            kind: cache_after[kind] - cache_before[kind]
+            for kind in cache_after
+            if cache_after[kind] > cache_before[kind]
+        }
+        unit_done: List[Tuple[float, float]] = []
+        for job in unit:
+            cell_start = monotonic()
+            outcome = _run_cell(job, flow, fabric, result_store, unit_done)
+            if isinstance(outcome[0], GuardbandResult):
+                unit_done.append((job.t_ambient, job.corner))
+            cells.append((job, outcome, monotonic() - cell_start))
+    shared_share = (monotonic() - start - sum(c[2] for c in cells)) / len(unit)
+    return [
+        _cell_record(
+            job, outcome, store_event, own + shared_share, baseline_hz, flow,
+            cache_events if i == 0 else {},
+        )
+        for i, (job, (outcome, store_event), own) in enumerate(cells)
+    ]
 
 
 def _run_unit_in_worker(
@@ -492,20 +422,21 @@ def _run_unit_in_worker(
 
 
 class _JsonlWriter:
-    """Per-run JSONL stream of per-job records, flushed per line.
+    """Per-run JSONL stream of per-cell records, flushed per line.
 
     The path is truncated on open so one file always holds exactly one
     run — re-running a sweep with the same ``--jsonl`` path never mixes
-    records from different runs.
+    records from different runs.  Without a path nothing is written, and
+    no record is built.
     """
 
     def __init__(self, path: Optional[str]) -> None:
         self._handle = open(path, "w", encoding="utf-8") if path else None
 
-    def write(self, record: Dict[str, object]) -> None:
+    def write(self, outcome: Union[JobResult, JobFailure]) -> None:
         if self._handle is None:
             return
-        self._handle.write(json.dumps(record, sort_keys=False) + "\n")
+        self._handle.write(json.dumps(outcome.to_record()) + "\n")
         self._handle.flush()
 
     def close(self) -> None:
@@ -545,7 +476,11 @@ def _failure_diagnostics(error: BaseException) -> Dict[str, object]:
 
 
 def _failure_from(
-    job: SweepJob, error: BaseException, attempts: int, started: float
+    job: SweepJob,
+    error: BaseException,
+    attempts: int,
+    wall_seconds: float,
+    diagnostics: Optional[Dict[str, object]] = None,
 ) -> JobFailure:
     return JobFailure(
         job_id=job.job_id,
@@ -555,9 +490,9 @@ def _failure_from(
         error_type=type(error).__name__,
         message=str(error) or type(error).__name__,
         attempts=attempts,
-        wall_seconds=monotonic() - started,
+        wall_seconds=wall_seconds,
         retryable=isinstance(error, RETRYABLE_ERRORS),
-        diagnostics=_failure_diagnostics(error),
+        diagnostics=diagnostics or _failure_diagnostics(error),
     )
 
 
@@ -591,7 +526,6 @@ def run_sweep(
     progress: Optional[ProgressCallback] = None,
     store: Union[ResultStore, str, None] = None,
     resume_from: Optional[str] = None,
-    batch: bool = False,
 ) -> SweepResult:
     """Execute an experiment grid; never raises for a failing cell.
 
@@ -600,12 +534,20 @@ def run_sweep(
     :class:`SweepResult` whose ``results``/``failures`` partition the
     grid.
 
+    Cells sharing one placed flow (same benchmark, arch, seed and fabric
+    corner under one config — an ambient sweep) run as one work unit:
+    the flow, fabric and worst-case baseline are resolved once, and each
+    cell then runs its own Algorithm 1 and records individually
+    (DESIGN.md §8, §12).  Retries apply per unit; ``job_timeout`` is per
+    cell, so a parallel unit of ``n`` cells is timed out after
+    ``n * job_timeout`` seconds.
+
     ``store`` (a :class:`~repro.store.ResultStore` or its root path)
     persists every converged cell keyed by its content digest, so an
     identical cell in any later sweep is served without re-running
     Algorithm 1 — and, for configs with ``warm_start_policy="nearest"``,
     seeds each cell's fixed point from the nearest completed
-    same-benchmark neighbour in the grid.
+    same-benchmark neighbour in the grid, unit-mates included.
 
     ``resume_from`` points at a prior run's per-cell JSONL stream
     (typically the same path as ``jsonl_path``): cells it records as
@@ -615,17 +557,6 @@ def run_sweep(
     never-started cells) is dispatched.  ``resume_from`` is read in full
     before ``jsonl_path`` is truncated, so resuming a run dir in place
     is safe.
-
-    ``batch=True`` groups cells sharing one placed flow (same benchmark,
-    arch, seed and fabric corner under one config — an ambient sweep)
-    into single work items: the flow, fabric and worst-case baseline are
-    resolved once per group, and each cell then runs the same per-cell
-    Algorithm 1 as an ungrouped sweep
-    (:func:`~repro.core.guardband.thermal_aware_guardband_batch`), so
-    results are bit-identical either way (DESIGN.md §12).  Per-cell
-    records, store writes, ``sweep.cell`` spans and resume semantics are
-    unchanged; retries/``job_timeout`` apply per work item (i.e. per
-    group when grouping).
     """
     jobs = spec.expand() if isinstance(spec, ExperimentSpec) else list(spec)
     grid_order = {job.job_id: i for i, job in enumerate(jobs)}
@@ -657,7 +588,7 @@ def run_sweep(
         jobs = remaining
     else:
         total_jobs = len(jobs)
-    units = _batch_units(jobs) if batch else [[job] for job in jobs]
+    units = _work_units(jobs)
     workers = min(workers, max(1, len(units)))
 
     writer = _JsonlWriter(jsonl_path)
@@ -680,20 +611,12 @@ def run_sweep(
         cells = completed_cells.get(job.benchmark)
         if not cells:
             return job
-        ranked = sorted(
-            cells,
-            key=lambda c: (
-                abs(c[0] - job.t_ambient) + abs(c[1] - job.corner),
-                c[0],
-                c[1],
-            ),
-        )
-        return replace(job, warm_start_cells=tuple(ranked[:3]))
+        return replace(job, warm_start_cells=_nearest(job, cells))
 
     def record(outcome: Union[JobResult, JobFailure]) -> None:
         bucket = sweep.results if isinstance(outcome, JobResult) else sweep.failures
         bucket.append(outcome)
-        writer.write(outcome.to_record())
+        writer.write(outcome)
         # Engine-side lifecycle trace: emitted for *every* terminal
         # outcome, so cells whose worker never finished (timeout, killed
         # worker) still appear in the trace tree.
@@ -729,7 +652,7 @@ def run_sweep(
         """A reloaded checkpoint cell: re-recorded, never re-executed."""
         sweep.results.append(result)
         sweep.n_resumed += 1
-        writer.write(result.to_record())
+        writer.write(result)
         observe.counter("sweep.cells.skipped").inc()
         observe.event(
             "sweep.cell_skipped", job_id=result.job_id, source="resume"
@@ -799,7 +722,9 @@ def _run_serial(
                     ]
                     continue
                 outcomes = [
-                    _failure_from(job, error, attempts, unit_started)
+                    _failure_from(
+                        job, error, attempts, monotonic() - unit_started
+                    )
                     for job in unit
                 ]
                 break
@@ -914,8 +839,8 @@ def _run_parallel(
                         for job in tracked.unit:
                             record(
                                 _failure_from(
-                                    job, error,
-                                    tracked.attempts, tracked.started,
+                                    job, error, tracked.attempts,
+                                    monotonic() - tracked.started,
                                 )
                             )
                 else:
@@ -956,7 +881,7 @@ def _run_parallel(
                                         "worker process died unexpectedly"
                                     ),
                                     tracked.attempts,
-                                    tracked.started,
+                                    monotonic() - tracked.started,
                                 )
                             )
             if job_timeout is not None:
@@ -972,8 +897,11 @@ def _expire_overdue(
     job_timeout: float,
     record: Callable[[Union[JobResult, JobFailure]], None],
 ) -> None:
-    """Record overdue jobs as timeout failures and stop tracking them.
+    """Record overdue units as timeout failures and stop tracking them.
 
+    ``job_timeout`` is per cell, so a unit of ``n`` cells is overdue
+    after ``n * job_timeout`` seconds; every one of its cells then fails
+    with a ``TimeoutError`` whose diagnostics give the deadline.
     Dispatch is capped at the pool width, so ``submitted`` approximates
     execution start and queue wait never counts against the timeout.  A
     running future cannot be interrupted through ``concurrent.futures``;
@@ -983,19 +911,21 @@ def _expire_overdue(
     """
     now = monotonic()
     for future, tracked in list(pending.items()):
-        if now - tracked.submitted <= job_timeout:
+        n_cells = len(tracked.unit)
+        deadline = job_timeout * n_cells
+        if now - tracked.submitted <= deadline:
             continue
         del pending[future]
         if not future.cancel():
             zombies.add(future)
+        error = TimeoutError(
+            f"work unit of {n_cells} cell(s) exceeded its {deadline:g}s "
+            f"timeout ({job_timeout:g}s per cell)"
+        )
         for job in tracked.unit:
             record(
                 _failure_from(
-                    job,
-                    TimeoutError(
-                        f"job exceeded the {job_timeout:g}s timeout"
-                    ),
-                    tracked.attempts,
-                    tracked.started,
+                    job, error, tracked.attempts, now - tracked.started,
+                    diagnostics={"timeout_s": deadline, "unit_cells": n_cells},
                 )
             )

@@ -77,7 +77,7 @@ class JobResult:
         return (self.benchmark, self.t_ambient, self.corner)
 
     def to_record(self) -> Dict[str, object]:
-        return {"type": "result", **asdict(self)}
+        return _record("result", self)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,20 @@ class JobFailure:
         return (self.benchmark, self.t_ambient, self.corner)
 
     def to_record(self) -> Dict[str, object]:
-        return {"type": "failure", **asdict(self)}
+        return _record("failure", self)
+
+
+def _record(kind: str, outcome: Union[JobResult, JobFailure]) -> Dict[str, object]:
+    """One JSONL record: ``type`` then every field, in field order.
+
+    Built without :func:`dataclasses.asdict`'s recursive deep copy: the
+    dict-valued fields hold scalars only, so a one-level copy keeps the
+    record independent of the (frozen) outcome.
+    """
+    record: Dict[str, object] = {"type": kind}
+    for name, value in vars(outcome).items():
+        record[name] = dict(value) if isinstance(value, dict) else value
+    return record
 
 
 _RESULT_FIELDS = frozenset(f.name for f in fields(JobResult))

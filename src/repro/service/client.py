@@ -119,7 +119,6 @@ class _InProcessTransport:
         store: Union[str, Path],
         workers: int = 2,
         max_retries: Optional[int] = None,
-        batch: bool = True,
         trace_path: Optional[str] = None,
     ) -> None:
         # Deferred: the scheduler pulls in the whole runner engine; keep
@@ -134,7 +133,6 @@ class _InProcessTransport:
             max_retries=(
                 DEFAULT_MAX_RETRIES if max_retries is None else max_retries
             ),
-            batch=batch,
         )
         self._trace_path = trace_path
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -245,7 +243,7 @@ class SweepClient:
 
     Exactly one of ``url`` (a ``repro serve`` endpoint) or ``store`` (a
     result-store directory to host an in-process service on) must be
-    given.  ``workers``/``max_retries``/``batch``/``trace_path``
+    given.  ``workers``/``max_retries``/``trace_path``
     configure the in-process scheduler and are rejected with ``url``
     (the server chose them at startup).
     """
@@ -256,7 +254,6 @@ class SweepClient:
         store: Union[str, Path, None] = None,
         workers: int = 2,
         max_retries: Optional[int] = None,
-        batch: bool = True,
         trace_path: Optional[str] = None,
         timeout: float = 30.0,
     ) -> None:
@@ -275,7 +272,7 @@ class SweepClient:
             assert store is not None
             self._transport = _InProcessTransport(
                 store, workers=workers, max_retries=max_retries,
-                batch=batch, trace_path=trace_path,
+                trace_path=trace_path,
             )
 
     def submit(self, spec: ExperimentSpec) -> str:

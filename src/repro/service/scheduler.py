@@ -21,7 +21,7 @@ identity directly), which is what makes scheduling decisions cheap:
   submitting overlapping grids concurrently compute each overlapping
   cell exactly once.
 - **pool dispatch** — remaining cells are grouped into same-flow units
-  (:func:`repro.runner.engine._batch_units`) and
+  (:func:`repro.runner.engine._work_units`) and
   executed on a ``ProcessPoolExecutor`` via the engine's own
   :func:`~repro.runner.engine._run_unit_in_worker`, so worker-side
   numerics, store writes and trace re-parenting are exactly the sweep
@@ -62,7 +62,7 @@ from repro.observe.clock import monotonic
 from repro.runner.engine import (
     DEFAULT_MAX_RETRIES,
     RETRYABLE_ERRORS,
-    _batch_units,
+    _work_units,
     _failure_from,
     _record_retry,
     _retry_job,
@@ -168,10 +168,9 @@ class SweepScheduler:
     Construct on (or bind to — see :meth:`start`) the serving event
     loop.  ``store`` must be directory-backed: pool workers open their
     own handle onto the shared root, exactly as the sweep engine's
-    workers do.  ``batch=True`` dispatches same-flow cells as one work
-    unit (the flow is resolved once per unit; each cell still runs its
-    own Algorithm 1, DESIGN.md §12); ``False`` dispatches every cell
-    alone.
+    workers do.  Same-flow cells are dispatched as one work unit, as in
+    the sweep engine (the flow is resolved once per unit; each cell
+    still runs its own Algorithm 1, DESIGN.md §12).
     """
 
     def __init__(
@@ -179,7 +178,6 @@ class SweepScheduler:
         store: ResultStore,
         workers: int = 2,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        batch: bool = True,
         broker: Optional[EventBroker] = None,
     ) -> None:
         if workers < 1:
@@ -190,7 +188,6 @@ class SweepScheduler:
         self.store_path = str(store.root)  # raises for non-directory backends
         self.workers = workers
         self.max_retries = max_retries
-        self.batch = batch
         self.broker = broker if broker is not None else EventBroker()
         self.jobs: Dict[str, _Job] = {}
         self._inflight: Dict[str, _Cell] = {}
@@ -302,8 +299,7 @@ class SweepScheduler:
 
         to_run = await self._serve_from_store(job, to_probe)
 
-        units = _batch_units(to_run) if self.batch else [[j] for j in to_run]
-        for unit in units:
+        for unit in _work_units(to_run):
             task = asyncio.ensure_future(self._run_unit(unit))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -408,7 +404,7 @@ class SweepScheduler:
                         _record_retry(job, attempts, error)
                     continue
                 outcomes = [
-                    _failure_from(job, error, attempts, started)
+                    _failure_from(job, error, attempts, monotonic() - started)
                     for job in unit
                 ]
                 break
@@ -424,7 +420,7 @@ class SweepScheduler:
                     ]
                     continue
                 outcomes = [
-                    _failure_from(job, error, attempts, started)
+                    _failure_from(job, error, attempts, monotonic() - started)
                     for job in unit
                 ]
                 break

@@ -22,7 +22,9 @@ from repro.core.guardband import (
     thermal_aware_guardband,
     thermal_aware_guardband_batch,
 )
-from repro.core.inputs import algorithm_inputs
+from repro.core import inputs as inputs_module
+from repro.core.inputs import algorithm_inputs, worst_case_hz
+from repro.core.margins import worst_case_frequency
 from repro.power.voltage import VoltageScaling
 from repro.thermal.package import ThermalPackage
 
@@ -120,6 +122,36 @@ class TestReuse:
         assert first.built and again.built
         assert again.power_model is not first.power_model
         assert again.activity is mine
+
+
+class TestWorstCaseBaseline:
+    def test_timed_once_per_fabric(
+        self, tiny_flow, fabric25, fabric70, monkeypatch
+    ):
+        calls = []
+
+        def counted(flow, fabric):
+            calls.append(fabric.corner_celsius)
+            return worst_case_frequency(flow, fabric)
+
+        flow = copy.copy(tiny_flow)  # a copy starts with no derived entries
+        monkeypatch.setattr(inputs_module, "worst_case_frequency", counted)
+        cool = [worst_case_hz(flow, fabric25) for _ in range(3)]
+        hot = [worst_case_hz(flow, fabric70) for _ in range(3)]
+        assert calls == [fabric25.corner_celsius, fabric70.corner_celsius]
+        assert cool == [worst_case_frequency(tiny_flow, fabric25)] * 3
+        assert hot == [worst_case_frequency(tiny_flow, fabric70)] * 3
+
+    def test_new_timing_analyzer_is_retimed(self, tiny_flow, fabric25):
+        flow = copy.copy(tiny_flow)
+        worst_case_hz(flow, fabric25)
+        flow.timing = copy.deepcopy(tiny_flow.timing)
+        entry = flow.derived["algorithm_inputs"].worst_case[id(fabric25)]
+        assert worst_case_hz(flow, fabric25) == worst_case_frequency(
+            tiny_flow, fabric25
+        )
+        retimed = flow.derived["algorithm_inputs"].worst_case[id(fabric25)]
+        assert retimed is not entry and retimed[1] is flow.timing
 
 
 class TestNoPoisoning:

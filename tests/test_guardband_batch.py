@@ -3,11 +3,13 @@
 :func:`thermal_aware_guardband_batch` runs every cell through
 :func:`thermal_aware_guardband`, so each outcome must be bit-identical
 to a single-cell call (DESIGN.md §12).  A diverging cell must not
-affect the other cells of its group, and ``run_sweep(batch=True)`` must
-keep the engine's per-cell record/store/resume semantics.
+affect the other cells of its group, and the engine's same-flow work
+units must keep its per-cell record/store/resume semantics.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -329,7 +331,7 @@ def _batch_spec(**overrides) -> ExperimentSpec:
 class TestBatchedSweep:
     def test_groups_same_flow_cells(self):
         jobs = _batch_spec().expand()
-        units = engine_module._batch_units(jobs)
+        units = engine_module._work_units(jobs)
         # One unit per (benchmark, corner) pair, holding every ambient.
         assert [len(unit) for unit in units] == [3, 3]
         for unit in units:
@@ -338,29 +340,36 @@ class TestBatchedSweep:
 
     def test_different_corners_not_grouped(self):
         jobs = _batch_spec(corners=(25.0, 70.0)).expand()
-        units = engine_module._batch_units(jobs)
+        units = engine_module._work_units(jobs)
         for unit in units:
             assert len({(job.benchmark, job.corner) for job in unit}) == 1
 
     def test_batched_matches_looped_sweep(self, cache_dir):
+        from repro.cad.flow import run_flow
+        from repro.core.margins import worst_case_frequency
+
         spec = _batch_spec()
-        loop = run_sweep(spec, workers=1)
-        batch = run_sweep(spec, workers=1, batch=True)
-        assert loop.ok and batch.ok
+        batch = run_sweep(spec, workers=1)
+        assert batch.ok
         assert [r.job_id for r in batch.results] == [
-            r.job_id for r in loop.results
+            job.job_id for job in spec.expand()
         ]
-        for a, b in zip(loop.results, batch.results):
-            # One per-cell code path serves both (DESIGN.md §12).
+        for job, b in zip(spec.expand(), batch.results):
+            # A grouped cell equals a single-cell run (DESIGN.md §12).
+            flow = run_flow(job.resolve_netlist(), job.arch, seed=job.seed)
+            fabric = engine_module._fabric_for(job.corner, job.arch)
+            a = thermal_aware_guardband(
+                flow, fabric, job.t_ambient, config=job.config
+            )
             assert b.frequency_hz == a.frequency_hz
             assert b.total_power_w == a.total_power_w
             assert b.iterations == a.iterations
-            assert b.worst_case_hz == a.worst_case_hz
+            assert b.worst_case_hz == worst_case_frequency(flow, fabric)
 
     def test_parallel_batched_matches_serial_batched(self, cache_dir):
         spec = _batch_spec()
-        serial = run_sweep(spec, workers=1, batch=True)
-        parallel = run_sweep(spec, workers=2, batch=True)
+        serial = run_sweep(spec, workers=1)
+        parallel = run_sweep(spec, workers=2)
         assert serial.ok and parallel.ok
         assert parallel.frequencies() == serial.frequencies()
 
@@ -371,7 +380,7 @@ class TestBatchedSweep:
         sink = InMemorySink()
         with observe.enabled(sink=sink):
             sweep = run_sweep(
-                spec, workers=1, batch=True,
+                spec, workers=1,
                 store=str(store_root), jsonl_path=str(jsonl),
             )
         assert sweep.ok
@@ -387,8 +396,8 @@ class TestBatchedSweep:
     def test_store_hits_served_per_cell(self, cache_dir, tmp_path):
         spec = _batch_spec()
         store_root = str(tmp_path / "store")
-        first = run_sweep(spec, workers=1, batch=True, store=store_root)
-        again = run_sweep(spec, workers=1, batch=True, store=store_root)
+        first = run_sweep(spec, workers=1, store=store_root)
+        again = run_sweep(spec, workers=1, store=store_root)
         assert first.ok and again.ok
         assert again.store_totals() == {"hit": spec.n_jobs, "miss": 0}
         assert again.frequencies() == first.frequencies()
@@ -399,10 +408,10 @@ class TestBatchedSweep:
     ):
         spec = _batch_spec(benchmarks=(BATCH_A,))
         store_root = str(tmp_path / "store")
-        # Pre-populate exactly one cell through the looped path.
+        # Pre-populate exactly one cell through a one-cell sweep.
         one = ExperimentSpec(benchmarks=(BATCH_A,), ambients=(30.0,))
         assert run_sweep(one, workers=1, store=store_root).ok
-        sweep = run_sweep(spec, workers=1, batch=True, store=store_root)
+        sweep = run_sweep(spec, workers=1, store=store_root)
         assert sweep.ok
         assert sweep.store_totals() == {"hit": 1, "miss": spec.n_jobs - 1}
         hit = sweep.result_for(BATCH_A.name, 30.0, 25.0)
@@ -411,13 +420,47 @@ class TestBatchedSweep:
     def test_resume_skips_batched_cells(self, cache_dir, tmp_path):
         spec = _batch_spec()
         jsonl = tmp_path / "sweep.jsonl"
-        first = run_sweep(spec, workers=1, batch=True, jsonl_path=str(jsonl))
+        first = run_sweep(spec, workers=1, jsonl_path=str(jsonl))
         assert first.ok
         resumed = run_sweep(
-            spec, workers=1, batch=True, resume_from=str(jsonl),
+            spec, workers=1, resume_from=str(jsonl),
         )
         assert resumed.ok and resumed.n_resumed == spec.n_jobs
         assert resumed.frequencies() == first.frequencies()
+
+    def test_unit_mates_seed_later_cells(self, cache_dir, tmp_path):
+        # Nothing has completed when the two units are dispatched, so
+        # every warm start below comes from an earlier cell of the same
+        # unit, in each of the two workers.
+        spec = _batch_spec(
+            config=GuardbandConfig(warm_start_policy="nearest")
+        )
+        sweep = run_sweep(spec, workers=2, store=str(tmp_path / "store"))
+        assert sweep.ok
+        assert [r.warm_started for r in sweep.results] == [
+            False, True, True, False, True, True,
+        ]
+
+    def test_cell_wall_time_is_its_own(self, cache_dir, monkeypatch):
+        real = engine_module.thermal_aware_guardband
+
+        def slow_at_45(flow, fabric, t_ambient, **kwargs):
+            if t_ambient == 45.0:
+                time.sleep(0.3)
+            return real(flow, fabric, t_ambient, **kwargs)
+
+        spec = _batch_spec(benchmarks=(BATCH_A,))
+        assert run_sweep(spec, workers=1).ok  # place and route once
+        monkeypatch.setattr(
+            engine_module, "thermal_aware_guardband", slow_at_45
+        )
+        sweep = run_sweep(spec, workers=1)
+        walls = {r.t_ambient: r.wall_seconds for r in sweep.results}
+        # An even split of the unit's wall clock would give each cell
+        # about 0.1 s; the slow cell keeps its own 0.3 s.
+        assert walls[45.0] >= 0.3
+        assert walls[15.0] < 0.15 and walls[30.0] < 0.15
+        assert sum(walls.values()) <= sweep.wall_seconds
 
     def test_diverged_cell_recorded_with_diagnostics(self, cache_dir):
         # A one-iteration budget with a tight threshold: every cell
@@ -426,7 +469,7 @@ class TestBatchedSweep:
             benchmarks=(BATCH_A,),
             config=GuardbandConfig(delta_t=0.01, max_iterations=1),
         )
-        sweep = run_sweep(spec, workers=1, batch=True)
+        sweep = run_sweep(spec, workers=1)
         assert len(sweep.failures) == spec.n_jobs
         for failure in sweep.failures:
             assert failure.error_type == "GuardbandError"
@@ -478,7 +521,7 @@ class TestBatchedSweep:
         )
         sweep = run_sweep(
             _batch_spec(benchmarks=(BATCH_A,), config=tight),
-            workers=1, batch=True, store=store_root,
+            workers=1, store=store_root,
         )
         assert [r.t_ambient for r in sweep.results] == [30.0]
         assert sweep.results[0].store_event == "hit"
@@ -599,41 +642,44 @@ class TestWarmStartMissObservability:
 
 
 class TestBatchedJobRouting:
-    def test_single_cell_units_route_through_execute_job(
+    def test_single_cell_units_route_through_execute_unit(
         self, cache_dir, monkeypatch
     ):
-        """Monkeypatched ``_execute_job`` still intercepts unbatched
-        sweeps (and batch=True sweeps whose groups are singletons)."""
+        """A cell with no same-flow neighbour is a unit of one, dispatched
+        through the same ``_execute_unit`` as a grouped unit."""
         seen = []
 
-        def fake(job, store=None):
-            seen.append(job.job_id)
-            return JobResult(
-                job_id=job.job_id, benchmark=job.benchmark,
-                t_ambient=job.t_ambient, corner=job.corner,
-                frequency_hz=1e9, worst_case_hz=5e8, gain=1.0,
-                iterations=1, total_power_w=1.0, max_tile_celsius=50.0,
-                mean_tile_celsius=40.0, wall_seconds=0.0,
-            )
+        def fake(unit, store=None):
+            seen.append([job.job_id for job in unit])
+            return [
+                JobResult(
+                    job_id=job.job_id, benchmark=job.benchmark,
+                    t_ambient=job.t_ambient, corner=job.corner,
+                    frequency_hz=1e9, worst_case_hz=5e8, gain=1.0,
+                    iterations=1, total_power_w=1.0, max_tile_celsius=50.0,
+                    mean_tile_celsius=40.0, wall_seconds=0.0,
+                )
+                for job in unit
+            ]
 
-        monkeypatch.setattr(engine_module, "_execute_job", fake)
+        monkeypatch.setattr(engine_module, "_execute_unit", fake)
         spec = ExperimentSpec(
             benchmarks=(BATCH_A, BATCH_B), ambients=(25.0,)
         )
-        sweep = run_sweep(spec, workers=1, batch=True)
+        sweep = run_sweep(spec, workers=1)
         assert sweep.ok
-        assert sorted(seen) == sorted(j.job_id for j in spec.expand())
+        assert seen == [[job.job_id] for job in spec.expand()]
 
     def test_batch_failure_falls_back_per_job(self, cache_dir, monkeypatch):
         """A unit-level crash (not a per-cell divergence) records one
         failure per member cell."""
 
-        def boom(jobs, store=None):
+        def boom(unit, store=None):
             raise RuntimeError("batch infrastructure crashed")
 
-        monkeypatch.setattr(engine_module, "_execute_batch", boom)
+        monkeypatch.setattr(engine_module, "_execute_unit", boom)
         spec = _batch_spec(benchmarks=(BATCH_A,))
-        sweep = run_sweep(spec, workers=1, batch=True)
+        sweep = run_sweep(spec, workers=1)
         assert len(sweep.failures) == spec.n_jobs
         assert all(
             f.error_type == "RuntimeError" for f in sweep.failures

@@ -33,7 +33,7 @@ from repro.observe.metrics import (
 )
 from repro.observe.runtime import _active
 from repro.observe.sinks import InMemorySink, JsonlSink
-from repro.observe.spans import NULL_SPAN
+from repro.observe.spans import NULL_SPAN, TimingSpan
 
 
 class TestSpans:
@@ -113,6 +113,26 @@ class TestEnabled:
                 pass
             assert s.duration_s is not None
         assert observe.phase_seconds(x=s) == {"x": s.duration_s}
+
+    def test_timing_only_spans_measure_duration_only(self):
+        with observe.enabled():
+            with observe.span("outer", a=1) as outer:
+                with observe.span("inner") as inner:
+                    # Nothing is pushed: no span could be written anyway.
+                    assert _active().current_span_id() is None
+                outer.set_attrs(b=2)
+        assert isinstance(outer, TimingSpan) and isinstance(inner, TimingSpan)
+        assert outer.span_id is None
+        assert 0.0 <= inner.duration_s <= outer.duration_s
+
+    def test_span_nested_in_a_sink_session_is_recorded(self):
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            with observe.enabled():  # the engine's timing-only request
+                with observe.span("cell") as cell:
+                    pass
+        assert cell.span_id is not None
+        assert [r["name"] for r in sink.spans()] == ["cell"]
 
     def test_owned_jsonl_sink_closed_on_exit(self, tmp_path):
         path = tmp_path / "trace.jsonl"

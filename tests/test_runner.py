@@ -13,6 +13,7 @@ import os
 import pickle
 import signal
 import time
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -44,31 +45,37 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
-# Module-level so the process pool can pickle them by reference (the
-# forked workers share this module's in-memory state).
-def _kill_own_worker(job, store=None):
+# Stand-ins for the engine's ``_execute_unit`` seam.  Module-level so the
+# process pool can pickle them by reference (the forked workers share
+# this module's in-memory state).
+def _kill_own_worker(unit, store=None):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _sleep_job(job, store=None):
+def _sleep_unit(unit, store=None):
     time.sleep(3.0)
 
 
-def _slow_ok_job(job, store=None):
-    time.sleep(0.4)
+def _fake_result(job, wall_seconds):
     return JobResult(
         job_id=job.job_id, benchmark=job.benchmark,
         t_ambient=job.t_ambient, corner=job.corner,
         frequency_hz=1e9, worst_case_hz=5e8, gain=1.0, iterations=1,
         total_power_w=1.0, max_tile_celsius=50.0, mean_tile_celsius=40.0,
-        wall_seconds=0.4,
+        wall_seconds=wall_seconds,
     )
 
 
-def _kill_worker_on_tiny_a(job, store=None):
-    if job.benchmark == "runner_tiny_a":
+def _slow_ok_unit(unit, store=None):
+    """Each cell takes 0.4 s."""
+    time.sleep(0.4 * len(unit))
+    return [_fake_result(job, 0.4) for job in unit]
+
+
+def _kill_worker_on_tiny_a(unit, store=None):
+    if unit[0].benchmark == "runner_tiny_a":
         os.kill(os.getpid(), signal.SIGKILL)
-    return _slow_ok_job(job)
+    return _slow_ok_unit(unit)
 
 
 class TestExperimentSpec:
@@ -126,6 +133,29 @@ class TestSerialSweep:
         assert all(r["type"] == "result" for r in records)
         assert records[0]["phase_seconds"]["sta"] > 0.0
 
+    def test_records_match_asdict_and_own_their_dicts(self):
+        result = JobResult(
+            job_id="j", benchmark="b", t_ambient=25.0, corner=25.0,
+            frequency_hz=1e9, worst_case_hz=5e8, gain=1.0, iterations=2,
+            total_power_w=1.0, max_tile_celsius=50.0, mean_tile_celsius=40.0,
+            wall_seconds=0.1, phase_seconds={"sta": 0.5},
+            cache_events={"hit": 1},
+        )
+        failure = JobFailure(
+            job_id="j", benchmark="b", t_ambient=25.0, corner=25.0,
+            error_type="GuardbandError", message="diverged", attempts=1,
+            wall_seconds=0.1, diagnostics={"iterations": 3},
+        )
+        for outcome, kind in ((result, "result"), (failure, "failure")):
+            record = outcome.to_record()
+            assert record == {"type": kind, **asdict(outcome)}
+            assert list(record) == ["type"] + [
+                f.name for f in fields(outcome)
+            ]
+        record = result.to_record()
+        record["phase_seconds"]["sta"] = -1.0
+        assert result.phase_seconds == {"sta": 0.5}
+
     def test_gain_slices(self, cache_dir):
         sweep = run_sweep(tiny_spec(ambients=(25.0, 70.0)), workers=1)
         assert 0.0 < sweep.mean_gain(t_ambient=70.0) < sweep.mean_gain(
@@ -135,14 +165,14 @@ class TestSerialSweep:
             sweep.mean_gain(t_ambient=999.0)
 
     def test_worker_exception_recorded_not_fatal(self, cache_dir, monkeypatch):
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
 
-        def flaky(job, store=None):
-            if job.benchmark == "runner_tiny_a":
+        def flaky(unit, store=None):
+            if unit[0].benchmark == "runner_tiny_a":
                 raise RuntimeError("synthetic job explosion")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", flaky)
+        monkeypatch.setattr(engine_module, "_execute_unit", flaky)
         sweep = run_sweep(tiny_spec(), workers=1)
         assert len(sweep.results) == 1 and len(sweep.failures) == 1
         failure = sweep.failures[0]
@@ -154,16 +184,16 @@ class TestSerialSweep:
         assert not failure.retryable
 
     def test_transient_error_retried_until_success(self, cache_dir, monkeypatch):
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
         calls = {"n": 0}
 
-        def congested_once(job, store=None):
+        def congested_once(unit, store=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RoutingError("transient congestion")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", congested_once)
+        monkeypatch.setattr(engine_module, "_execute_unit", congested_once)
         sweep = run_sweep(
             ExperimentSpec(benchmarks=(TINY_A,)), workers=1, max_retries=2
         )
@@ -171,10 +201,10 @@ class TestSerialSweep:
         assert sweep.results[0].attempts == 2
 
     def test_retry_exhaustion_recorded(self, cache_dir, monkeypatch):
-        def always_congested(job, store=None):
+        def always_congested(unit, store=None):
             raise RoutingError("permanent congestion")
 
-        monkeypatch.setattr(engine_module, "_execute_job", always_congested)
+        monkeypatch.setattr(engine_module, "_execute_unit", always_congested)
         sweep = run_sweep(
             ExperimentSpec(benchmarks=(TINY_A,)), workers=1, max_retries=2
         )
@@ -189,16 +219,16 @@ class TestSerialSweep:
     ):
         # The flow is deterministic per seed, so a useful RoutingError
         # retry must explore a different placement.
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
         seeds = []
 
-        def congested_once(job, store=None):
-            seeds.append(job.seed)
+        def congested_once(unit, store=None):
+            seeds.append(unit[0].seed)
             if len(seeds) == 1:
                 raise RoutingError("congested at this placement seed")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", congested_once)
+        monkeypatch.setattr(engine_module, "_execute_unit", congested_once)
         sweep = run_sweep(
             ExperimentSpec(benchmarks=(TINY_A,), seed=7), workers=1,
             max_retries=1,
@@ -250,7 +280,7 @@ class TestParallelSweep:
     ):
         # Two jobs so the engine actually takes the pool path (it clamps
         # workers to the job count and runs workers=1 in-process).
-        monkeypatch.setattr(engine_module, "_execute_job", _kill_own_worker)
+        monkeypatch.setattr(engine_module, "_execute_unit", _kill_own_worker)
         sweep = run_sweep(tiny_spec(), workers=2, max_retries=1)
         assert not sweep.results
         assert len(sweep.failures) == 2
@@ -259,7 +289,7 @@ class TestParallelSweep:
             assert failure.attempts == 2
 
     def test_job_timeout_recorded(self, cache_dir, monkeypatch):
-        monkeypatch.setattr(engine_module, "_execute_job", _sleep_job)
+        monkeypatch.setattr(engine_module, "_execute_unit", _sleep_unit)
         started = time.perf_counter()
         sweep = run_sweep(tiny_spec(), workers=2, job_timeout=0.5)
         assert time.perf_counter() - started < 3.0
@@ -269,31 +299,62 @@ class TestParallelSweep:
     def test_queue_wait_not_counted_against_timeout(
         self, cache_dir, monkeypatch
     ):
-        # 6 jobs on 2 workers: the last pair starts executing ~0.8s after
-        # submission.  With the timeout measured from execution start
-        # (bounded dispatch), a 1s budget per 0.4s job never expires; a
-        # timeout measured from submission would spuriously kill them.
-        monkeypatch.setattr(engine_module, "_execute_job", _slow_ok_job)
+        # 6 one-cell units (one per design corner) on 2 workers: the
+        # last pair starts executing ~0.8s after submission.  With the
+        # timeout measured from execution start (bounded dispatch), a 1s
+        # budget per 0.4s unit never expires; a timeout measured from
+        # submission would spuriously kill them.
+        monkeypatch.setattr(engine_module, "_execute_unit", _slow_ok_unit)
         sweep = run_sweep(
-            tiny_spec(ambients=(25.0, 50.0, 70.0)), workers=2,
+            tiny_spec(corners=(25.0, 50.0, 70.0)), workers=2,
             job_timeout=1.0,
         )
         assert not sweep.failures, [f.to_record() for f in sweep.failures]
         assert len(sweep.results) == 6
+
+    def test_unit_deadline_scales_with_its_cells(self, cache_dir, monkeypatch):
+        # Two 3-cell units on 2 workers.  Each cell takes 0.4 s, inside
+        # the 0.7 s per-cell timeout, so a 1.2 s unit stays inside its
+        # 2.1 s deadline; a per-unit deadline of 0.7 s would kill both.
+        monkeypatch.setattr(engine_module, "_execute_unit", _slow_ok_unit)
+        sweep = run_sweep(
+            tiny_spec(ambients=(25.0, 50.0, 70.0)), workers=2,
+            job_timeout=0.7,
+        )
+        assert not sweep.failures, [f.to_record() for f in sweep.failures]
+        assert len(sweep.results) == 6
+
+    def test_wedged_unit_times_out_every_cell(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(engine_module, "_execute_unit", _sleep_unit)
+        started = time.perf_counter()
+        sweep = run_sweep(
+            tiny_spec(ambients=(25.0, 50.0, 70.0)), workers=2,
+            job_timeout=0.2,
+        )
+        assert time.perf_counter() - started < 3.0
+        assert not sweep.results
+        assert len(sweep.failures) == 6
+        for failure in sweep.failures:
+            assert failure.error_type == "TimeoutError"
+            assert "work unit of 3 cell(s)" in failure.message
+            assert failure.diagnostics == {
+                "timeout_s": pytest.approx(0.6), "unit_cells": 3,
+            }
 
     def test_pool_breakage_spares_queued_jobs_budget(
         self, cache_dir, monkeypatch
     ):
         # Only dispatched cells are charged an attempt when the pool
         # breaks; cells still waiting in the ready queue keep their full
-        # budget.  The two tiny_a jobs dispatch first (benchmark-major),
-        # kill both workers twice, and exhaust their budget; the queued
-        # tiny_b jobs then run on a rebuilt pool and succeed first-try.
+        # budget.  The two tiny_a units (one per corner) dispatch first
+        # (benchmark-major), kill both workers twice, and exhaust their
+        # budget; the queued tiny_b units then run on a rebuilt pool and
+        # succeed first-try.
         monkeypatch.setattr(
-            engine_module, "_execute_job", _kill_worker_on_tiny_a
+            engine_module, "_execute_unit", _kill_worker_on_tiny_a
         )
         sweep = run_sweep(
-            tiny_spec(ambients=(25.0, 70.0)), workers=2, max_retries=1
+            tiny_spec(corners=(25.0, 70.0)), workers=2, max_retries=1
         )
         assert len(sweep.failures) == 2
         assert all(f.benchmark == "runner_tiny_a" for f in sweep.failures)
@@ -364,7 +425,7 @@ class TestSweepObservability:
     def test_timeout_leaves_terminal_records(
         self, cache_dir, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(engine_module, "_execute_job", _sleep_job)
+        monkeypatch.setattr(engine_module, "_execute_unit", _sleep_unit)
         trace_path = tmp_path / "trace.jsonl"
         with observe.enabled(jsonl_path=str(trace_path)):
             sweep = run_sweep(tiny_spec(), workers=2, job_timeout=0.5)
@@ -382,7 +443,7 @@ class TestSweepObservability:
     def test_killed_worker_leaves_terminal_and_retry_records(
         self, cache_dir, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(engine_module, "_execute_job", _kill_own_worker)
+        monkeypatch.setattr(engine_module, "_execute_unit", _kill_own_worker)
         trace_path = tmp_path / "trace.jsonl"
         with observe.enabled(jsonl_path=str(trace_path)):
             sweep = run_sweep(tiny_spec(), workers=2, max_retries=1)
@@ -403,16 +464,16 @@ class TestSweepObservability:
         )
 
     def test_serial_retry_emits_retry_event(self, cache_dir, monkeypatch):
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
         calls = {"n": 0}
 
-        def congested_once(job, store=None):
+        def congested_once(unit, store=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RoutingError("transient congestion")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", congested_once)
+        monkeypatch.setattr(engine_module, "_execute_unit", congested_once)
         sink = InMemorySink()
         with observe.enabled(sink=sink):
             sweep = run_sweep(
@@ -435,11 +496,11 @@ class TestSweepObservability:
             jsonl_path=str(jsonl),
         )
         assert sweep.ok
-        # Benchmark-major order: each design's first ambient computes the
-        # flow (miss), the second reuses it (hit).
+        # One work unit per design resolves its flow once (a miss on the
+        # cold cache), attributed to the unit's first cell.
         per_job = [r.cache_events for r in sweep.results]
-        assert per_job == [{"miss": 1}, {"hit": 1}, {"miss": 1}, {"hit": 1}]
-        assert sweep.cache_totals() == {"hit": 2, "miss": 2, "quarantine": 0}
+        assert per_job == [{"miss": 1}, {}, {"miss": 1}, {}]
+        assert sweep.cache_totals() == {"hit": 0, "miss": 2, "quarantine": 0}
         assert sweep.to_dict()["cache_totals"] == sweep.cache_totals()
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert [r["cache_events"] for r in records] == per_job
